@@ -16,6 +16,7 @@ wall-clock timing goes only to the manifest sidecar (or stderr).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -60,6 +61,8 @@ def _parse_grid(text: str) -> np.ndarray:
         raise StateParseError(f"grid {text!r} must look like LO:HI:N") from None
     if n < 1:
         raise StateParseError("grid point count must be at least 1")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise StateParseError(f"grid {text!r} has a non-finite end")
     return np.linspace(lo, hi, n)
 
 
@@ -130,6 +133,13 @@ def _cmd_bounds(args) -> int:
                       measures.rank3_fidelity_lower_bound(1.0, d)))
     sys.stdout.write(stateio.format_report(pairs))
     return 0
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def _cmd_dynamics(args) -> int:
@@ -235,20 +245,21 @@ def build_parser() -> argparse.ArgumentParser:
     pd = sub.add_parser("dynamics", help="open-system trajectories and sweeps")
     pd.add_argument("--model", choices=[m.value for m in dyn.ModelKind],
                     default="dissipative")
-    pd.add_argument("--T", type=float, default=0.0, help="bath temperature")
-    pd.add_argument("--r", type=float, default=0.0, help="bath squeeze magnitude")
-    pd.add_argument("--phi", type=float, default=0.0, help="bath squeeze phase")
-    pd.add_argument("--r12", type=float, default=1.0, help="qubit separation")
-    pd.add_argument("--gamma0", type=float, default=1.0)
-    pd.add_argument("--omega0", type=float, default=1.0)
-    pd.add_argument("--t-max", type=float, default=5.0)
-    pd.add_argument("--dt", type=float, default=None)
+    pd.add_argument("--T", type=_finite_float, default=0.0, help="bath temperature")
+    pd.add_argument("--r", type=_finite_float, default=0.0, help="bath squeeze magnitude")
+    pd.add_argument("--phi", type=_finite_float, default=0.0, help="bath squeeze phase")
+    pd.add_argument("--r12", type=_finite_float, default=1.0, help="qubit separation")
+    pd.add_argument("--gamma0", type=_finite_float, default=1.0)
+    pd.add_argument("--omega0", type=_finite_float, default=1.0)
+    pd.add_argument("--t-max", type=_finite_float, default=5.0)
+    pd.add_argument("--dt", type=_finite_float, default=None)
     pd.add_argument("--max-steps", type=int, default=dyn.DEFAULT_MAX_STEPS)
     pd.add_argument("--state", default=None, help="initial state file (d=2)")
     pd.add_argument("--out", default=None, help="CSV path (default stdout)")
     pd.add_argument("--sweep", metavar="AXIS=LO:HI:N",
                     help=f"sweep one of {dyn.SWEEP_AXES} and report endpoints")
-    pd.add_argument("--jobs", type=int, default=1)
+    pd.add_argument("--jobs", type=int, default=1,
+                    help="accepted for compatibility; sweeps run in one thread")
     pd.set_defaults(func=_cmd_dynamics)
 
     pq = sub.add_parser("qutrit-example", help="built-in two-qutrit family")

@@ -16,10 +16,17 @@ Both coefficient matrices are positive semidefinite for every admissible
 bath (|gamma12| <= gamma0 and N(N+1) >= |M|^2), so the generated maps
 are completely positive and positivity of rho is a hard invariant.
 
-Integration is fixed-step RK4 on the vectorized generator with
-re-hermitization after every step; per-step records carry concurrence,
-the closed-form maximal singlet fraction, teleportation fidelity, trace
-error, and the minimal eigenvalue.
+Integration is fixed-step RK4 on the vectorized generator L.  L is
+constant, so one RK4 step is exactly the propagator
+P = sum_{j<=4} (dt L)^j / j!, built once per run; a step is v <- P v
+followed by re-hermitization.  Per-step records carry concurrence, the
+closed-form maximal singlet fraction, teleportation fidelity, trace
+error, and the minimal eigenvalue, computed in one batched call per block
+of steps.  Sweeps over r12 or squeeze_r stack the per-point propagators
+and advance all grid points together; they check positivity at every
+step and evaluate the other diagnostics at the endpoint only.  The
+``jobs`` argument of ``sweep`` is accepted for compatibility and has no
+effect.
 """
 
 from __future__ import annotations
@@ -27,7 +34,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,11 +46,16 @@ from . import mixed
 MIN_EIG_ABORT = -1e-6
 DEFAULT_MAX_STEPS = 4096
 _SMALL_X = 1e-2
+# states per batched diagnostics call, and grid points advanced together
+_BLOCK_ROWS = 1024
+_SWEEP_POINTS = 64
 
 _SM = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)  # lowers |1> -> |0>
 _SP = _SM.conj().T
 _SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 _I2 = np.eye(2, dtype=np.complex128)
+# vec(m) -> vec(m.T) for a row-major vectorized 4 x 4 matrix
+_VEC_TRANSPOSE = np.arange(16).reshape(4, 4).T.reshape(-1)
 
 
 class ModelKind(enum.Enum):
@@ -60,10 +71,18 @@ class BathParams:
     r12: float = 1.0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.temperature < 0:
             raise InvariantError("bath temperature must be nonnegative")
         if self.r12 < 0:
             raise InvariantError("qubit separation r12 must be nonnegative")
+
+
+def _require_finite(params) -> None:
+    for f in dataclasses.fields(params):
+        value = getattr(params, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise InvariantError(f"{f.name} must be finite, got {value!r}")
 
 
 def _bell_mixture(sign: float) -> DensityMatrix:
@@ -100,8 +119,11 @@ class DynamicsConfig:
     omega0: float = 1.0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.gamma0 <= 0:
             raise InvariantError("gamma0 must be positive")
+        if self.omega0 <= 0:
+            raise InvariantError("omega0 must be positive")
         if self.t_max <= 0:
             raise InvariantError("t_max must be positive")
         if self.dt is not None and self.dt <= 0:
@@ -119,14 +141,21 @@ class DynamicsConfig:
 def thermal_occupation(temperature: float, omega0: float = 1.0) -> float:
     if temperature <= 0.0:
         return 0.0
-    return 1.0 / math.expm1(omega0 / temperature)
+    x = omega0 / temperature
+    if x > 700.0:  # 1/expm1(x) < 1e-304 here, and expm1 overflows past ~709.8
+        return 0.0
+    return 1.0 / math.expm1(x)
 
 
 def squeezed_occupations(bath: BathParams, omega0: float = 1.0) -> tuple[float, complex]:
     """Effective (N, M) of a squeezed thermal bath; |M|^2 <= N(N+1)."""
     n_th = thermal_occupation(bath.temperature, omega0)
-    ch = math.cosh(bath.squeeze_r)
-    sh = math.sinh(bath.squeeze_r)
+    try:
+        ch = math.cosh(bath.squeeze_r)
+        sh = math.sinh(bath.squeeze_r)
+    except OverflowError:
+        raise InvariantError(
+            f"squeeze magnitude {bath.squeeze_r!r} overflows the bath occupations") from None
     n_eff = n_th * (ch * ch + sh * sh) + sh * sh
     m_eff = -(2.0 * n_th + 1.0) * sh * ch * complex(math.cos(bath.squeeze_phi),
                                                     math.sin(bath.squeeze_phi))
@@ -148,6 +177,8 @@ def shift_kernel(x: float) -> float:
     """Omega12 / gamma0 for transverse dipoles; diverges like 3/(4 x^3)."""
     if x <= 0:
         raise InvariantError("the coherent shift needs a positive separation")
+    if x ** 3 == 0.0:
+        raise InvariantError(f"separation {x!r} is too small for the coherent shift")
     s, c = math.sin(x), math.cos(x)
     return 0.75 * (-c / x + s / (x * x) + c / (x ** 3))
 
@@ -180,18 +211,21 @@ def _gks_parts(cfg: DynamicsConfig) -> tuple[np.ndarray, np.ndarray, list[np.nda
 
 def _liouvillian(cfg: DynamicsConfig) -> np.ndarray:
     """Matrix L with vec(drho/dt) = L vec(rho), row-major vectorization."""
-    h, c, jumps = _gks_parts(cfg)
-    eye = np.eye(4, dtype=np.complex128)
-    lv = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    for a in range(len(jumps)):
-        for b in range(len(jumps)):
-            coef = c[a, b]
-            if coef == 0:
-                continue
-            ad = jumps[a].conj().T
-            g = ad @ jumps[b]
-            lv = lv + coef * (np.kron(jumps[b], ad.T)
-                              - 0.5 * np.kron(g, eye) - 0.5 * np.kron(eye, g.T))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        h, c, jumps = _gks_parts(cfg)
+        eye = np.eye(4, dtype=np.complex128)
+        lv = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+        for a in range(len(jumps)):
+            for b in range(len(jumps)):
+                coef = c[a, b]
+                if coef == 0:
+                    continue
+                ad = jumps[a].conj().T
+                g = ad @ jumps[b]
+                lv = lv + coef * (np.kron(jumps[b], ad.T)
+                                  - 0.5 * np.kron(g, eye) - 0.5 * np.kron(eye, g.T))
+    if not np.isfinite(lv).all():
+        raise InvariantError("the generator overflows at these bath parameters")
     return lv
 
 
@@ -221,14 +255,93 @@ class Trajectory:
         return self.row(len(self.t) - 1)
 
 
-def _diagnostics(mat: np.ndarray) -> tuple[float, float, float, float, float]:
-    rho = DensityMatrix.unchecked(2, mat)
-    conc = measures.concurrence_2qubit(rho)
-    frac = mixed.fef_2qubit_closed_form(rho)
+def _propagator(lv: np.ndarray, dt: float) -> np.ndarray:
+    """One classical RK4 step of a constant generator, for one (16, 16) or a
+    stack of (..., 16, 16) generators: the degree-4 Taylor polynomial of
+    dt L, in Horner form."""
+    a = dt * lv
+    eye = np.eye(lv.shape[-1])
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        p = eye + a / 4.0
+        p = eye + (a / 3.0) @ p
+        p = eye + (a / 2.0) @ p
+        p = eye + a @ p
+    if not np.isfinite(p).all():
+        raise InvariantError(f"the RK4 step overflows at dt={dt:.6g}; lower dt")
+    return p
+
+
+def _step_blocks(p: np.ndarray, v: np.ndarray, steps: int, block: int):
+    """Yield (k0, states) for consecutive blocks of the states after k0,
+    k0 + 1, ... steps of v <- herm(P v), step 0 being v itself.
+
+    v is one vectorized state (16,) under p (16, 16), or a stack (G, 16)
+    under p (G, 16, 16).  ``states`` has shape (n,) + v.shape and is a
+    buffer that the next block overwrites.
+    """
+    buf = np.empty((block,) + v.shape, dtype=np.complex128)
+    buf[0] = v
+    k0, n = 0, 1
+    for k in range(1, steps + 1):
+        w = (p @ v[..., None])[..., 0]
+        v = 0.5 * (w + w[..., _VEC_TRANSPOSE].conj())
+        if n == block:
+            yield k0, buf
+            k0, n = k, 0
+        buf[n] = v
+        n += 1
+    yield k0, buf[:n]
+
+
+def _min_eig(mats: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each matrix in a (..., 4, 4) hermitian stack;
+    -inf where a matrix has a non-finite entry, which LAPACK never sees."""
+    finite = np.isfinite(mats).all(axis=(-2, -1))
+    if finite.all():
+        return np.linalg.eigvalsh(mats)[..., 0]
+    out = np.full(finite.shape, -np.inf)
+    out[finite] = np.linalg.eigvalsh(mats[finite])[..., 0]
+    return out
+
+
+def _require_positive(min_eig: np.ndarray, t: np.ndarray, axis: str = "",
+                      points: np.ndarray | None = None) -> None:
+    """Abort at the first entry of a (steps,) or (steps, points) array of
+    minimal eigenvalues that is below MIN_EIG_ABORT or non-finite; t holds
+    the steps' times and points the grid values along a sweep axis."""
+    bad = np.flatnonzero(~(min_eig >= MIN_EIG_ABORT))
+    if bad.size == 0:
+        return
+    idx = np.unravel_index(bad[0], min_eig.shape)
+    meig = min_eig[idx]
+    detail = f"min eigenvalue {meig:.3e}" if np.isfinite(meig) else "non-finite entries"
+    at = f" at {axis}={points[idx[1]]:.6g}" if axis else ""
+    raise InvariantError(f"state lost positivity at t={t[idx[0]]:.6g}{at} ({detail})")
+
+
+def _diagnostics(mats: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Concurrence, fraction, fidelity, trace error and minimal eigenvalue of
+    each state in an (n, 4, 4) stack at times t, one batched call per column.
+
+    Aborts at the first state that is non-finite or lost positivity, before
+    any other diagnostic sees it.
+    """
+    min_eig = _min_eig(mats)
+    _require_positive(min_eig, t)
+    conc = measures.concurrence_2qubit_stack(mats)
+    frac = mixed.fef_2qubit_stack(mats)
     fid = measures.fidelity_from_fraction(frac, 2)
-    tr_err = abs(float(np.trace(mat).real) - 1.0) + abs(float(np.trace(mat).imag))
-    min_eig = float(np.linalg.eigvalsh(mat)[0])
+    tr = np.trace(mats, axis1=-2, axis2=-1)
+    tr_err = np.abs(tr.real - 1.0) + np.abs(tr.imag)
     return conc, frac, fid, tr_err, min_eig
+
+
+def _step_count(cfg: DynamicsConfig) -> int:
+    ratio = cfg.t_max / cfg.resolved_dt()
+    if not ratio < cfg.max_steps + 0.5:
+        raise InvariantError(
+            f"{ratio:.6g} steps exceed max_steps={cfg.max_steps}; raise max_steps or dt")
+    return max(1, int(round(ratio)))
 
 
 def evolve(cfg: DynamicsConfig) -> Trajectory:
@@ -238,47 +351,16 @@ def evolve(cfg: DynamicsConfig) -> Trajectory:
     than MIN_EIG_ABORT or the step budget is exceeded.
     """
     dt = cfg.resolved_dt()
-    steps = int(round(cfg.t_max / dt))
-    if steps < 1:
-        steps = 1
-    if steps > cfg.max_steps:
-        raise InvariantError(
-            f"{steps} steps exceed max_steps={cfg.max_steps}; raise max_steps or dt")
-    lv = _liouvillian(cfg)
+    steps = _step_count(cfg)
+    p = _propagator(_liouvillian(cfg), dt)
     v = cfg.resolved_initial().mat.reshape(-1).astype(np.complex128)
-
-    t_out = np.empty(steps + 1)
-    c_out = np.empty(steps + 1)
-    f_out = np.empty(steps + 1)
-    fid_out = np.empty(steps + 1)
-    terr_out = np.empty(steps + 1)
-    meig_out = np.empty(steps + 1)
-
-    def record(k: int, t: float, vec: np.ndarray):
-        conc, frac, fid, terr, meig = _diagnostics(vec.reshape(4, 4))
-        t_out[k] = t
-        c_out[k] = conc
-        f_out[k] = frac
-        fid_out[k] = fid
-        terr_out[k] = terr
-        meig_out[k] = meig
-        if meig < MIN_EIG_ABORT:
-            raise InvariantError(
-                f"state lost positivity at t={t:.6g} (min eigenvalue {meig:.3e})")
-
-    record(0, 0.0, v)
-    for k in range(1, steps + 1):
-        k1 = lv @ v
-        k2 = lv @ (v + 0.5 * dt * k1)
-        k3 = lv @ (v + 0.5 * dt * k2)
-        k4 = lv @ (v + dt * k3)
-        v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        m = v.reshape(4, 4)
-        m = 0.5 * (m + m.conj().T)
-        v = m.reshape(-1)
-        record(k, k * dt, v)
-    return Trajectory(t=t_out, concurrence=c_out, fraction=f_out,
-                      fidelity=fid_out, trace_err=terr_out, min_eig=meig_out)
+    t_out = np.arange(steps + 1) * dt
+    cols = np.empty((5, steps + 1))
+    with np.errstate(over="ignore", invalid="ignore"):  # blow-ups abort below
+        for k0, states in _step_blocks(p, v, steps, _BLOCK_ROWS):
+            n = len(states)
+            cols[:, k0:k0 + n] = _diagnostics(states.reshape(n, 4, 4), t_out[k0:k0 + n])
+    return Trajectory(t_out, *cols)
 
 
 def step_doubling_check(cfg: DynamicsConfig) -> float:
@@ -309,14 +391,17 @@ def sweep(cfg: DynamicsConfig, axis: str, grid: np.ndarray, jobs: int = 1) -> Sw
     """Endpoint diagnostics along a parameter grid.
 
     The time axis samples a single trajectory at the nearest recorded
-    steps; other axes evolve one trajectory per grid point (optionally in
-    a thread pool) and report the t = t_max row.
+    steps.  The other axes advance the grid points together, up to
+    _SWEEP_POINTS at a time, check positivity at every step, and report
+    the t = t_max row.  ``jobs`` is accepted for compatibility and ignored.
     """
     if axis not in SWEEP_AXES:
         raise InvariantError(f"unknown sweep axis {axis!r}; use one of {SWEEP_AXES}")
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
         raise InvariantError("sweep grid must be a nonempty 1-D array")
+    if not np.isfinite(grid).all():
+        raise InvariantError("sweep grid must be finite")
     if axis == "time":
         if grid.min() < 0 or grid.max() > cfg.t_max + 1e-12:
             raise InvariantError("time grid must lie within [0, t_max]")
@@ -330,13 +415,21 @@ def sweep(cfg: DynamicsConfig, axis: str, grid: np.ndarray, jobs: int = 1) -> Sw
             rows.append((float(t),) + row[1:])
         return SweepResult(axis=axis, rows=tuple(rows))
 
-    def run_one(value: float):
-        return evolve(_cfg_at(cfg, axis, float(value))).final_row()
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            finals = list(pool.map(run_one, grid))
-    else:
-        finals = [run_one(v) for v in grid]
-    rows = tuple((float(g),) + fr[1:] for g, fr in zip(grid, finals))
-    return SweepResult(axis=axis, rows=rows)
+    dt = cfg.resolved_dt()
+    steps = _step_count(cfg)
+    t_all = np.arange(steps + 1) * dt
+    v0 = cfg.resolved_initial().mat.reshape(-1).astype(np.complex128)
+    rows = []
+    for lo in range(0, grid.size, _SWEEP_POINTS):
+        points = grid[lo:lo + _SWEEP_POINTS]
+        g = points.size
+        p = _propagator(np.stack([_liouvillian(_cfg_at(cfg, axis, float(x)))
+                                  for x in points]), dt)
+        with np.errstate(over="ignore", invalid="ignore"):  # blow-ups abort below
+            for k0, states in _step_blocks(p, np.tile(v0, (g, 1)), steps, _BLOCK_ROWS // g):
+                n = len(states)
+                _require_positive(_min_eig(states.reshape(n, g, 4, 4)),
+                                  t_all[k0:k0 + n], axis, points)
+        cols = _diagnostics(states[-1].reshape(g, 4, 4), np.full(g, t_all[-1]))
+        rows.extend(tuple(row) for row in np.column_stack((points,) + cols).tolist())
+    return SweepResult(axis=axis, rows=tuple(rows))

@@ -179,14 +179,19 @@ def rank3_mixed_bound(d: int) -> float:
     return (d * (d - 1.0) / 6.0) ** (1.0 / 6.0) * (d - 2.0) ** (-1.0 / 3.0)
 
 
+def concurrence_2qubit_stack(mats: np.ndarray) -> np.ndarray:
+    """Wootters concurrence of each 4 x 4 matrix in a (..., 4, 4) stack."""
+    tilde = _SYSY @ mats.conj() @ _SYSY
+    mu = np.linalg.eigvals(mats @ tilde)
+    mu = np.sort(np.sqrt(np.clip(mu.real, 0.0, None)), axis=-1)[..., ::-1]
+    return np.maximum(0.0, mu[..., 0] - mu[..., 1] - mu[..., 2] - mu[..., 3])
+
+
 def concurrence_2qubit(rho: DensityMatrix) -> float:
     """Wootters concurrence of a two-qubit density matrix."""
     if rho.d != 2:
         raise InvariantError("concurrence is defined here for d=2 only")
-    tilde = _SYSY @ rho.mat.conj() @ _SYSY
-    mu = np.linalg.eigvals(rho.mat @ tilde)
-    mu = np.sort(np.sqrt(np.clip(mu.real, 0.0, None)))[::-1]
-    return float(max(0.0, mu[0] - mu[1] - mu[2] - mu[3]))
+    return float(concurrence_2qubit_stack(rho.mat))
 
 
 def is_useful(f: float, d: int) -> bool:

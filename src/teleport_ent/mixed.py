@@ -207,13 +207,19 @@ def _magic_basis() -> np.ndarray:
     return _MAGIC
 
 
+def fef_2qubit_stack(mats: np.ndarray) -> np.ndarray:
+    """Closed-form maximal singlet fraction of each matrix in a (..., 4, 4)
+    stack: the top eigenvalue of the real part of rho in the magic basis."""
+    e = _magic_basis()
+    m = linalg.dagger(e) @ mats @ e
+    return np.linalg.eigvalsh(np.real(m))[..., -1]
+
+
 def fef_2qubit_closed_form(rho: DensityMatrix) -> float:
     """Maximal singlet fraction of a two-qubit state, closed form."""
     if rho.d != 2:
         raise InvariantError("closed-form singlet fraction needs d=2")
-    e = _magic_basis()
-    m = linalg.dagger(e) @ rho.mat @ e
-    return float(np.linalg.eigvalsh(np.real(m))[-1])
+    return float(fef_2qubit_stack(rho.mat))
 
 
 def _fef_2qubit_optimal_unitary(rho: DensityMatrix) -> np.ndarray:

@@ -117,15 +117,6 @@ class DensityMatrix:
             raise InvariantError(f"matrix side {mat.shape[0]} is not a perfect square")
         return cls(d=d, mat=mat)
 
-    @classmethod
-    def unchecked(cls, d: int, mat: np.ndarray) -> "DensityMatrix":
-        """Wrap a matrix without validating; for transient integrator states
-        whose positivity is tracked separately."""
-        obj = cls.__new__(cls)
-        object.__setattr__(obj, "d", d)
-        object.__setattr__(obj, "mat", np.asarray(mat, dtype=np.complex128))
-        return obj
-
 
 @dataclass(frozen=True)
 class PureDecomposition:

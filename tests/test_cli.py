@@ -2,6 +2,8 @@
 
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -156,3 +158,52 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+# steps far outside RK4's stability region must abort cleanly with exit 3
+@pytest.mark.parametrize("argv", [
+    ("--r12", "0.05", "--dt", "0.05", "--t-max", "5"),
+    ("--r12", "0.05", "--dt", "5e-3", "--t-max", "50", "--max-steps", "20000"),
+    ("--r12", "0.05", "--dt", "0.05", "--t-max", "5", "--sweep", "r12=0.05:1:3"),
+    ("--r12", "1", "--dt", "0.05", "--t-max", "5", "--sweep", "r12=1:0.05:2"),
+])
+def test_dynamics_unstable_step_exit_3(capsys, argv):
+    code, out, err = run(capsys, "dynamics", *argv)
+    assert code == 3
+    assert "lost positivity" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("flag", ["--T", "--r", "--phi", "--r12", "--gamma0",
+                                  "--omega0", "--t-max", "--dt"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_dynamics_non_finite_input_exit_2(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["dynamics", "--max-steps", "20000", f"{flag}={value}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "must be finite" in err and flag in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--r", "50"), ("--r", "1000"), ("--T", "1e-3"), ("--T", "1e300"),
+    ("--r12", "1e-300"), ("--gamma0", "1e308"), ("--omega0", "0", "--T", "1"),
+    ("--sweep", "r12=nan:1:3"),
+])
+def test_dynamics_extreme_input_exits_cleanly(capsys, argv):
+    code, _, _ = run(capsys, "dynamics", "--max-steps", "20000", "--t-max", "0.5", *argv)
+    assert code in (0, 2, 3)
+
+
+def test_python_dash_m_entry_point(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "teleport_ent", "dynamics", "--r12", "0.5",
+         "--t-max", "0.01", "--dt", "1e-3"],
+        capture_output=True, text=True, env=env, cwd=str(tmp_path), timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "axis,C,f,F,trace_err,min_eig"
+    assert len(lines) == 12

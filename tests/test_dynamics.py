@@ -1,5 +1,6 @@
 """Open-system engine: kernels, generator invariants, trajectories."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -22,6 +23,8 @@ from teleport_ent import (
     sweep,
     thermal_occupation,
 )
+from teleport_ent import dynamics as dyn
+from teleport_ent import measures, mixed
 
 
 def test_thermal_occupation_limits():
@@ -170,3 +173,123 @@ def test_sweep_jobs_deterministic():
     a = sweep(cfg, "r12", grid, jobs=1).rows
     b = sweep(cfg, "r12", grid, jobs=4).rows
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# equivalence with the per-step RK4 loop the propagator replaced
+
+
+def _rk4_loop_oracle(cfg):
+    """Rows (t, C, f, F, trace_err, min_eig) of the classical four-stage RK4
+    loop with re-hermitization and one diagnostics call after every step."""
+    dt = cfg.resolved_dt()
+    steps = max(1, int(round(cfg.t_max / dt)))
+    lv = dyn._liouvillian(cfg)
+    v = cfg.resolved_initial().mat.reshape(-1).astype(np.complex128)
+    rows = []
+
+    def record(t, vec):
+        m = vec.reshape(4, 4)
+        frac = float(mixed.fef_2qubit_stack(m))
+        tr = np.trace(m)
+        rows.append((t, float(measures.concurrence_2qubit_stack(m)), frac,
+                     measures.fidelity_from_fraction(frac, 2),
+                     abs(float(tr.real) - 1.0) + abs(float(tr.imag)),
+                     float(np.linalg.eigvalsh(m)[0])))
+
+    record(0.0, v)
+    for k in range(1, steps + 1):
+        k1 = lv @ v
+        k2 = lv @ (v + 0.5 * dt * k1)
+        k3 = lv @ (v + 0.5 * dt * k2)
+        k4 = lv @ (v + dt * k3)
+        v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        m = v.reshape(4, 4)
+        v = (0.5 * (m + m.conj().T)).reshape(-1)
+        record(k * dt, v)
+    return np.array(rows)
+
+
+# the criterion-7 scenarios, shortened to t_max = 0.5
+CRITERION_7_SHORT = {
+    "dissipative vacuum": DynamicsConfig(
+        model=ModelKind.DISSIPATIVE, bath=BathParams(temperature=0.0, r12=0.05),
+        gamma0=0.2, t_max=0.5, dt=5e-4, max_steps=20000),
+    "dissipative thermal": DynamicsConfig(
+        model=ModelKind.DISSIPATIVE, bath=BathParams(temperature=1.0, squeeze_r=0.1, r12=0.05),
+        gamma0=0.2, t_max=0.5, dt=5e-4, max_steps=20000),
+    "qnd collective": DynamicsConfig(
+        model=ModelKind.QND, bath=BathParams(temperature=5.0, squeeze_r=0.1, r12=0.05),
+        gamma0=0.2, t_max=0.5, dt=1e-3, max_steps=20000),
+    "qnd independent": DynamicsConfig(
+        model=ModelKind.QND, bath=BathParams(temperature=5.0, squeeze_r=0.1, r12=1.1),
+        gamma0=0.2, t_max=0.5, dt=1e-3, max_steps=20000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CRITERION_7_SHORT))
+def test_evolve_matches_per_step_rk4(name):
+    cfg = CRITERION_7_SHORT[name]
+    want = _rk4_loop_oracle(cfg)
+    traj = evolve(cfg)
+    got = np.column_stack([traj.t, traj.concurrence, traj.fraction, traj.fidelity,
+                           traj.trace_err, traj.min_eig])
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("axis,cfg,grid", [
+    ("r12", DynamicsConfig(model=ModelKind.DISSIPATIVE,
+                           bath=BathParams(temperature=1.0, squeeze_r=0.1, r12=1.0),
+                           gamma0=1.0, t_max=0.5, dt=2e-3, max_steps=4096,
+                           initial=antisymmetric_initial_state()),
+     np.linspace(0.3, 3.0, 10)),
+    ("squeeze_r", DynamicsConfig(model=ModelKind.QND,
+                                 bath=BathParams(temperature=5.0, r12=0.05),
+                                 gamma0=0.2, t_max=0.5, dt=1e-3, max_steps=4096),
+     np.linspace(-0.05, 0.05, 9)),
+    # more points than one stacked group holds
+    ("squeeze_r", DynamicsConfig(model=ModelKind.DISSIPATIVE,
+                                 bath=BathParams(temperature=0.5, r12=0.7),
+                                 gamma0=1.0, t_max=0.05, dt=1e-3, max_steps=4096),
+     np.linspace(0.0, 0.3, 70)),
+])
+def test_sweep_rows_match_per_point_evolve(axis, cfg, grid):
+    rows = sweep(cfg, axis, grid).rows
+    assert len(rows) == len(grid)
+    for x, row in zip(grid, rows):
+        bath = dataclasses.replace(cfg.bath, **{axis: float(x)})
+        want = evolve(dataclasses.replace(cfg, bath=bath)).final_row()
+        assert row[0] == float(x)
+        assert np.abs(np.array(row[1:]) - np.array(want[1:])).max() <= 1e-12
+
+
+def test_sweep_aborts_on_one_unstable_point():
+    # dt * Omega12 is about 300 at r12 = 0.05, far outside RK4's stability region
+    cfg = DynamicsConfig(bath=BathParams(r12=1.0), t_max=5.0, dt=0.05)
+    sweep(cfg, "r12", np.array([0.5, 1.0]))
+    with pytest.raises(InvariantError, match="lost positivity .* at r12=0.05"):
+        sweep(cfg, "r12", np.array([0.5, 0.05, 1.0]))
+
+
+@pytest.mark.parametrize("field", ["temperature", "squeeze_r", "squeeze_phi", "r12"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_bath_rejects_non_finite(field, value):
+    with pytest.raises(InvariantError, match="finite"):
+        BathParams(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["gamma0", "t_max", "dt", "omega0"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_config_rejects_non_finite(field, value):
+    with pytest.raises(InvariantError, match="finite"):
+        DynamicsConfig(**{field: value})
+
+
+def test_extreme_finite_baths_abort_cleanly():
+    # occupations or shifts that overflow end in InvariantError, not a traceback
+    for bath in (BathParams(squeeze_r=1000.0), BathParams(temperature=1e300),
+                 BathParams(r12=1e-300), BathParams(r12=1e-105)):
+        with pytest.raises(InvariantError):
+            evolve(DynamicsConfig(bath=bath, t_max=0.01))
+    assert thermal_occupation(1e-3) == 0.0  # omega0 / T = 1000
