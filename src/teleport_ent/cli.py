@@ -142,6 +142,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return value
+
+
 def _cmd_dynamics(args) -> int:
     bath = dyn.BathParams(temperature=args.T, squeeze_r=args.r,
                           squeeze_phi=args.phi, r12=args.r12)
@@ -234,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("analyze", help="measure report for a state file")
     pa.add_argument("state", help="path to a state file (pure or dm)")
-    pa.add_argument("--restarts", type=int, default=8)
+    pa.add_argument("--restarts", type=_positive_int, default=8)
     pa.add_argument("--seed", type=int, default=seed_default)
     pa.set_defaults(func=_cmd_analyze)
 
@@ -264,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pq = sub.add_parser("qutrit-example", help="built-in two-qutrit family")
     pq.add_argument("--p", type=float, required=True, help="family parameter in [0, 1/2]")
-    pq.add_argument("--restarts", type=int, default=8)
+    pq.add_argument("--restarts", type=_positive_int, default=8)
     pq.add_argument("--seed", type=int, default=seed_default)
     pq.set_defaults(func=_cmd_qutrit_example)
 

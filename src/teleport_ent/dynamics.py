@@ -44,7 +44,8 @@ from . import measures
 from . import mixed
 
 MIN_EIG_ABORT = -1e-6
-DEFAULT_MAX_STEPS = 4096
+# the default CLI run (t_max 5 at dt 1e-3/gamma0) takes 5000 steps
+DEFAULT_MAX_STEPS = 8192
 _SMALL_X = 1e-2
 # states per batched diagnostics call, and grid points advanced together
 _BLOCK_ROWS = 1024

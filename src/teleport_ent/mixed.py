@@ -2,9 +2,9 @@
 
 Two search engines live here:
 
-* an ascent over unitaries U(d) estimating the maximal singlet fraction
-  f(rho) = max_U <psi+| (U x I)^dagger rho (U x I) |psi+>, every evaluated
-  unitary yielding a certified lower bound, and
+* a polar fixed-point ascent over unitaries U(d) estimating the maximal singlet
+  fraction f(rho) = max_U <psi+| (U x I)^dagger rho (U x I) |psi+>, whose value
+  is attained at the returned unitary and so is a certified lower bound, and
 * a descent over ensemble decompositions of rho (isometry mixes of its
   spectral components) estimating convex-roof extensions of the pure-state
   measures: negativity (a CREN upper bound) and the rank-aware e_d2 / e_d3.
@@ -44,7 +44,6 @@ WEIGHT_FLOOR = 1e-14
 class OptimizerConfig:
     restarts: int = 32
     max_iters: int = 500
-    step_init: float = 0.1
     tol: float = 1e-9
     seed: int = DEFAULT_SEED
     # ensemble size used by decomposition searches, as a multiple of rank
@@ -53,8 +52,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.restarts < 1 or self.max_iters < 1:
             raise InvariantError("restarts and max_iters must be positive")
-        if self.step_init <= 0 or self.tol <= 0:
-            raise InvariantError("step_init and tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise InvariantError("tol must be finite and positive")
         if self.ensemble_factor < 1:
             raise InvariantError("ensemble_factor must be at least 1")
 
@@ -75,49 +74,11 @@ class OptResult:
 # ---------------------------------------------------------------------------
 # singlet fraction ascent
 
-_BASIS_CACHE: dict[int, np.ndarray] = {}
-_PROBE_CACHE: dict[tuple[int, float], tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _hermitian_basis(d: int) -> np.ndarray:
-    """Orthonormal (trace inner product) basis of d x d hermitian matrices."""
-    if d in _BASIS_CACHE:
-        return _BASIS_CACHE[d]
-    mats = []
-    for k in range(d):
-        m = np.zeros((d, d), dtype=np.complex128)
-        m[k, k] = 1.0
-        mats.append(m)
-    inv = 1.0 / math.sqrt(2.0)
-    for j in range(d):
-        for k in range(j + 1, d):
-            m = np.zeros((d, d), dtype=np.complex128)
-            m[j, k] = inv
-            m[k, j] = inv
-            mats.append(m)
-            m = np.zeros((d, d), dtype=np.complex128)
-            m[j, k] = -1.0j * inv
-            m[k, j] = 1.0j * inv
-            mats.append(m)
-    out = np.array(mats)
-    _BASIS_CACHE[d] = out
-    return out
-
-
-def _expm_ih(h: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """exp(i * scale * h) for hermitian h, via eigendecomposition."""
-    w, q = np.linalg.eigh(h)
-    return (q * np.exp(1j * scale * w)) @ q.conj().T
-
-
-def _probes(d: int, delta: float) -> tuple[np.ndarray, np.ndarray]:
-    key = (d, delta)
-    if key not in _PROBE_CACHE:
-        basis = _hermitian_basis(d)
-        plus = np.array([_expm_ih(b, delta) for b in basis])
-        minus = np.array([_expm_ih(b, -delta) for b in basis])
-        _PROBE_CACHE[key] = (plus, minus)
-    return _PROBE_CACHE[key]
+def _polar(m: np.ndarray) -> np.ndarray:
+    """Polar factor W X^dagger of m = W S X^dagger: the unitary (or isometry)
+    closest to m, and the maximizer of Re tr(V^dagger m) over them."""
+    w, _, xh = np.linalg.svd(m, full_matrices=False)
+    return w @ xh
 
 
 def _fraction_of_unitary(rho_mat: np.ndarray, u: np.ndarray, d: int) -> float:
@@ -128,66 +89,30 @@ def _fraction_of_unitary(rho_mat: np.ndarray, u: np.ndarray, d: int) -> float:
 def _top_eigvec_warm_start(rho: DensityMatrix) -> np.ndarray:
     """Unitary maximizing overlap with the dominant eigenvector of rho."""
     res = linalg.herm_eig(rho.mat)
-    amp = res.eigenvectors[:, -1].reshape(rho.d, rho.d)
-    w, _, xh = np.linalg.svd(amp)
-    return w @ xh
+    return _polar(res.eigenvectors[:, -1].reshape(rho.d, rho.d))
 
 
 def _ascend_once(rho_mat: np.ndarray, d: int, u0: np.ndarray,
                  cfg: OptimizerConfig) -> tuple[float, np.ndarray, bool, int]:
-    basis = _hermitian_basis(d)
-    delta = 1e-5
-    plus, minus = _probes(d, delta)
+    """Polar fixed point U <- polar(G), G = reshape(rho vec U).
+
+    f(U) = vec(U)^dagger rho vec(U) / d = Re tr(U^dagger G) / d is convex, so
+    f(V) >= (2 Re tr(V^dagger G) - d f(U)) / d.  The polar factor maximizes this
+    bound over U(d), so f never decreases; the bound's possible gain,
+    2 (sum of G's singular values / d - f), stops the loop.
+    """
     u = u0
-    j_cur = _fraction_of_unitary(rho_mat, u, d)
-    best_val, best_u = j_cur, u
-    step = cfg.step_init
-    polished = False
-    converged = False
-    iters = 0
-    grad = np.empty(d * d)
-    for _ in range(cfg.max_iters):
-        iters += 1
-        for a in range(d * d):
-            jp = _fraction_of_unitary(rho_mat, u @ plus[a], d)
-            jm = _fraction_of_unitary(rho_mat, u @ minus[a], d)
-            if jp > best_val:
-                best_val, best_u = jp, u @ plus[a]
-            if jm > best_val:
-                best_val, best_u = jm, u @ minus[a]
-            grad[a] = (jp - jm) / (2.0 * delta)
-        if float(np.linalg.norm(grad)) < cfg.tol:
-            if polished:
-                converged = True
-                break
-            polished = True
-            delta = 1e-7
-            plus, minus = _probes(d, delta)
-            continue
-        h = np.einsum("a,aij->ij", grad, basis)
-        w, q = np.linalg.eigh(h)
-        improved = False
-        while step >= 1e-12:
-            trial = u @ ((q * np.exp(1j * step * w)) @ q.conj().T)
-            j_trial = _fraction_of_unitary(rho_mat, trial, d)
-            if j_trial > j_cur + 1e-16:
-                u, j_cur = trial, j_trial
-                if j_trial > best_val:
-                    best_val, best_u = j_trial, trial
-                step = min(step * 1.5, 2.0)
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            if not polished:
-                polished = True
-                delta = 1e-7
-                plus, minus = _probes(d, delta)
-                step = max(step, 1e-4)
-                continue
-            converged = True
-            break
-    return best_val, best_u, converged, iters
+    f = _fraction_of_unitary(rho_mat, u, d)
+    for it in range(1, cfg.max_iters + 1):
+        g = (rho_mat @ u.reshape(-1)).reshape(d, d)
+        nxt = _polar(g)
+        if 2.0 * (float(np.real(np.vdot(nxt, g))) / d - f) <= cfg.tol:
+            return f, u, True, it
+        f_nxt = _fraction_of_unitary(rho_mat, nxt, d)
+        if f_nxt <= f:
+            return f, u, True, it
+        u, f = nxt, f_nxt
+    return f, u, False, cfg.max_iters
 
 
 _MAGIC = None
@@ -227,25 +152,20 @@ def _fef_2qubit_optimal_unitary(rho: DensityMatrix) -> np.ndarray:
     m = linalg.dagger(e) @ rho.mat @ e
     _, vecs = np.linalg.eigh(np.real(m))
     vec = e @ vecs[:, -1].astype(np.complex128)
-    u = math.sqrt(2.0) * vec.reshape(2, 2)
-    uu, _, vh = np.linalg.svd(u)  # polar projection back onto U(2)
-    return uu @ vh
+    return _polar(math.sqrt(2.0) * vec.reshape(2, 2))
 
 
 def singlet_fraction_mixed(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> OptResult:
     """Certified lower bound on the maximal singlet fraction of rho.
 
-    Multi-restart ascent over U(d); every evaluated unitary yields a valid
-    fraction, so the reported value is the best one seen.  For d = 2 the
-    closed form overrides the iterative value whenever it is larger.
+    Multi-restart polar fixed-point ascent over U(d); the value is the
+    fraction at the returned unitary, the best restart's end point.  For
+    d = 2 the closed form overrides the iterative value whenever it is larger.
     """
     cfg = cfg or OptimizerConfig()
     d = rho.d
     rho_mat = np.asarray(rho.mat)
-    best_val = -1.0
-    best_u = None
-    best_conv = False
-    best_iters = 0
+    best = None
     for idx in range(cfg.restarts):
         if idx == 0:
             u0 = _top_eigvec_warm_start(rho)
@@ -253,9 +173,10 @@ def singlet_fraction_mixed(rho: DensityMatrix, cfg: OptimizerConfig | None = Non
             u0 = np.eye(d, dtype=np.complex128)
         else:
             u0 = haar_unitary(d, np.random.default_rng(cfg.seed ^ idx))
-        val, u, conv, iters = _ascend_once(rho_mat, d, u0, cfg)
-        if val > best_val:
-            best_val, best_u, best_conv, best_iters = val, u, conv, iters
+        run = _ascend_once(rho_mat, d, u0, cfg)
+        if best is None or run[0] > best[0]:
+            best = run
+    best_val, best_u, best_conv, best_iters = best
     search_val = best_val
     if d == 2:
         closed = fef_2qubit_closed_form(rho)
@@ -428,8 +349,7 @@ def _isometry_from_decomposition(dec: PureDecomposition, spectral: PureDecomposi
         target = math.sqrt(p) * st.vector()
         overlaps = comp_vecs.conj() @ target
         raw[i, :] = overlaps / np.sqrt(spectral.weights)
-    u, _, vh = np.linalg.svd(raw, full_matrices=False)
-    return u @ vh
+    return _polar(raw)
 
 
 def _roof_search(rho: DensityMatrix, kind: str, cfg: OptimizerConfig,

@@ -207,3 +207,22 @@ def test_python_dash_m_entry_point(tmp_path):
     lines = done.stdout.splitlines()
     assert lines[0] == "axis,C,f,F,trace_err,min_eig"
     assert len(lines) == 12
+
+
+def test_dynamics_defaults_run_to_t_max(capsys):
+    code, out, _ = run(capsys, "dynamics")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 5002  # header + t = 0 .. 5 at the default dt 1e-3
+    assert float(lines[-1].split(",")[0]) == pytest.approx(5.0)
+
+
+@pytest.mark.parametrize("command", [("analyze", "state.txt"),
+                                     ("qutrit-example", "--p", "0.3")])
+@pytest.mark.parametrize("value", ["0", "-1", "-8"])
+def test_restarts_below_one_exit_2(capsys, command, value):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, f"--restarts={value}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "must be at least 1" in err and "--restarts" in err
