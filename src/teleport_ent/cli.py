@@ -149,6 +149,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _dimension(text: str) -> int:
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"dimension must be at least 2, got {text!r}")
+    return value
+
+
 def _cmd_dynamics(args) -> int:
     bath = dyn.BathParams(temperature=args.T, squeeze_r=args.r,
                           squeeze_phi=args.phi, r12=args.r12)
@@ -246,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.set_defaults(func=_cmd_analyze)
 
     pb = sub.add_parser("bounds", help="thresholds and band ceilings for a dimension")
-    pb.add_argument("--d", type=int, required=True)
+    pb.add_argument("--d", type=_dimension, required=True)
     pb.set_defaults(func=_cmd_bounds)
 
     pd = sub.add_parser("dynamics", help="open-system trajectories and sweeps")
@@ -260,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--omega0", type=_finite_float, default=1.0)
     pd.add_argument("--t-max", type=_finite_float, default=5.0)
     pd.add_argument("--dt", type=_finite_float, default=None)
-    pd.add_argument("--max-steps", type=int, default=dyn.DEFAULT_MAX_STEPS)
+    pd.add_argument("--max-steps", type=_positive_int, default=dyn.DEFAULT_MAX_STEPS)
     pd.add_argument("--state", default=None, help="initial state file (d=2)")
     pd.add_argument("--out", default=None, help="CSV path (default stdout)")
     pd.add_argument("--sweep", metavar="AXIS=LO:HI:N",

@@ -5,9 +5,12 @@ Two search engines live here:
 * a polar fixed-point ascent over unitaries U(d) estimating the maximal singlet
   fraction f(rho) = max_U <psi+| (U x I)^dagger rho (U x I) |psi+>, whose value
   is attained at the returned unitary and so is a certified lower bound, and
-* a descent over ensemble decompositions of rho (isometry mixes of its
-  spectral components) estimating convex-roof extensions of the pure-state
+* a Riemannian conjugate-gradient descent over ensemble decompositions of
+  rho (n x r isometries mixing its r spectral components, retracted by the
+  polar factor) estimating convex-roof extensions of the pure-state
   measures: negativity (a CREN upper bound) and the rank-aware e_d2 / e_d3.
+  The value is the measure averaged over the returned decomposition, so it
+  is an upper bound on the roof.
 
 For two qubits the singlet fraction also has a closed form (largest
 eigenvalue of the real part of rho expressed in a phase-fixed maximally
@@ -24,6 +27,7 @@ import numpy as np
 from .errors import InvariantError
 from . import linalg
 from .states import (
+    DEFAULT_RANK_TOL,
     DensityMatrix,
     PureDecomposition,
     SchmidtSpectrum,
@@ -193,150 +197,157 @@ def singlet_fraction_mixed(rho: DensityMatrix, cfg: OptimizerConfig | None = Non
 # ---------------------------------------------------------------------------
 # convex-roof decomposition search
 
-def _member_negativity(lam: np.ndarray, d: int) -> np.ndarray:
-    root2 = np.sqrt(lam).sum(axis=1) ** 2
-    return np.clip((root2 - 1.0) / (d - 1.0), 0.0, None)
-
-
-def _member_e2(lam: np.ndarray, d: int, rank_tol: float) -> np.ndarray:
-    # rank <= 2 members take the fraction-linear fast path, rank 3 the
-    # pairwise-product form; the two agree where both apply
-    f = np.sqrt(lam).sum(axis=1) ** 2 / d
-    fast = math.sqrt(d ** 3 / (2.0 * (d - 1.0))) * np.clip(f - 1.0 / d, 0.0, None)
-    pairs = np.clip(0.5 * (1.0 - (lam * lam).sum(axis=1)), 0.0, None)
-    general = np.sqrt(2.0 * d / (d - 1.0) * pairs)
-    if lam.shape[1] < 3:
-        return fast
-    return np.where(lam[:, 2] > rank_tol, general, fast)
-
-
-def _member_e3(lam: np.ndarray, d: int, rank_tol: float) -> np.ndarray:
-    triple = np.clip(lam[:, 0] * lam[:, 1] * lam[:, 2], 0.0, None)
-    return (6.0 * d * d / ((d - 1.0) * (d - 2.0)) * triple) ** (1.0 / 3.0)
+_ROT1 = np.array([1, 2, 0])
+_ROT2 = np.array([2, 0, 1])
+_SIGN2 = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 class _RoofObjective:
-    """Weighted ensemble average of a pure-state measure, batched over members.
-
-    At d = 2 every supported measure of an unnormalized member vector m
-    collapses to 2 |det m.reshape(2,2)|, so the two-qubit path never needs
-    singular values.
+    """Sum over ensemble members of p times a pure-state measure, where a
+    member is an unnormalized amplitude matrix A of weight p = |A|_F^2 and
+    singular values s.  In these terms negativity is ((sum s)^2 - p)/(d-1),
+    e_d2 is sqrt(2d/(d-1) sum_{i<j} s_i^2 s_j^2) and e_d3 is
+    (6d^2/((d-1)(d-2)) (s1 s2 s3)^2)^(1/3); at d = 2 every measure is 2|det A|.
     """
 
-    def __init__(self, d: int, kind: str, rank_tol: float = 1e-9):
+    def __init__(self, d: int, kind: str):
         self.d = d
         self.kind = kind
-        self.rank_tol = rank_tol
-        self.rank_cap = 3 if kind in ("e2", "e3") else None
-
-    def member_values(self, lam: np.ndarray) -> np.ndarray:
-        if self.kind == "neg":
-            return _member_negativity(lam, self.d)
-        if self.kind == "e2":
-            return _member_e2(lam, self.d, self.rank_tol)
-        return _member_e3(lam, self.d, self.rank_tol)
-
-    @staticmethod
-    def _det2_contrib(flat: np.ndarray) -> np.ndarray:
-        """2 |det| of (..., 4) member vectors; equals p times the measure."""
-        return 2.0 * np.abs(flat[..., 0] * flat[..., 3] - flat[..., 1] * flat[..., 2])
 
     def of_members(self, psi: np.ndarray) -> float:
-        """psi: (m, d*d) unnormalized member vectors."""
-        if self.d == 2:
-            return float(self._det2_contrib(psi).sum())
-        p = np.einsum("ij,ij->i", psi.conj(), psi).real
-        active = p > WEIGHT_FLOOR
-        if not np.any(active):
+        """Certified value of the (m, d*d) members psi; inf when e_d2 or e_d3
+        meets a member of Schmidt rank above three."""
+        d = self.d
+        if d == 2:
+            return float(2.0 * np.abs(psi[:, 0] * psi[:, 3] - psi[:, 1] * psi[:, 2]).sum())
+        s2 = np.linalg.svd(psi.reshape(-1, d, d), compute_uv=False) ** 2
+        p = s2.sum(axis=1, keepdims=True)
+        if self.kind != "neg" and np.any((s2[:, 3:] > DEFAULT_RANK_TOL * p) & (p > WEIGHT_FLOOR)):
             return math.inf
-        sv = np.linalg.svd(psi[active].reshape(-1, self.d, self.d), compute_uv=False)
-        lam = sv * sv / p[active, None]
-        if self.rank_cap is not None and lam.shape[1] > self.rank_cap:
-            if np.any(lam[:, self.rank_cap:] > self.rank_tol):
-                return math.inf
-        return float(p[active] @ self.member_values(lam))
+        if self.kind == "neg":
+            vals = np.clip(np.sqrt(s2).sum(axis=1) ** 2 - p[:, 0], 0.0, None) / (d - 1.0)
+        elif self.kind == "e2":
+            # sum_{i<j} s_i^2 s_j^2 as s_i^2 times the sum of the later ones,
+            # which keeps a product member's value at rounding level
+            pairs = (s2[:, :-1] * np.cumsum(s2[:, :0:-1], axis=1)[:, ::-1]).sum(axis=1)
+            vals = np.sqrt(2.0 * d / (d - 1.0) * pairs)
+        else:
+            vals = (6.0 * d * d / ((d - 1.0) * (d - 2.0)) * s2[:, :3].prod(axis=1)) ** (1.0 / 3.0)
+        return float(vals.sum())
 
-    def pair_scan(self, psi_i: np.ndarray, psi_j: np.ndarray,
-                  thetas: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-        """Objective contribution of rows i and j after each (theta, alpha)
-        two-row rotation; returns array of shape (len(thetas), len(alphas))."""
-        c = np.cos(thetas)[:, None, None]
-        s = np.sin(thetas)[:, None, None]
-        ph = np.exp(1j * alphas)[None, :, None]
-        new_i = c * psi_i[None, None, :] + s * ph * psi_j[None, None, :]
-        new_j = -s * np.conj(ph) * psi_i[None, None, :] + c * psi_j[None, None, :]
-        if self.d == 2:
-            return self._det2_contrib(new_i) + self._det2_contrib(new_j)
-        stacked = np.stack([new_i, new_j], axis=2)  # (T, A, 2, d*d)
-        t, a = stacked.shape[0], stacked.shape[1]
-        flat = stacked.reshape(t * a * 2, self.d, self.d)
-        p = np.einsum("ijk,ijk->i", flat.conj(), flat).real
-        sv = np.linalg.svd(flat, compute_uv=False)
-        safe_p = np.where(p > WEIGHT_FLOOR, p, 1.0)
-        lam = sv * sv / safe_p[:, None]
-        vals = self.member_values(lam)
-        contrib = np.where(p > WEIGHT_FLOOR, p * vals, 0.0)
-        if self.rank_cap is not None and lam.shape[1] > self.rank_cap:
-            bad = np.any(lam[:, self.rank_cap:] > self.rank_tol, axis=1) & (p > WEIGHT_FLOOR)
-            contrib = np.where(bad, math.inf, contrib)
-        return contrib.reshape(t, a, 2).sum(axis=2)
-
-
-_THETA_GRID = np.linspace(0.0, math.pi / 2.0, 9)
-_ALPHA_GRID = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
-
-
-def _pair_minimize(obj: _RoofObjective, psi: np.ndarray, vm: np.ndarray,
-                   i: int, j: int, current: float) -> float:
-    """One coordinate-descent move mixing ensemble rows i and j in place."""
-    base = obj.pair_scan(psi[i], psi[j], np.array([0.0]), np.array([0.0]))[0, 0]
-    thetas, alphas = _THETA_GRID, _ALPHA_GRID
-    best_t, best_a, best_val = 0.0, 0.0, base
-    for _ in range(3):
-        grid = obj.pair_scan(psi[i], psi[j], thetas, alphas)
-        k = int(np.argmin(grid))
-        ti, ai = divmod(k, grid.shape[1])
-        if grid[ti, ai] < best_val:
-            best_val = float(grid[ti, ai])
-            best_t, best_a = float(thetas[ti]), float(alphas[ai])
-        span_t = (thetas[-1] - thetas[0]) / 6.0 if thetas.size > 1 else 0.1
-        span_a = (alphas[-1] - alphas[0]) / 6.0 if alphas.size > 1 else 0.3
-        thetas = np.linspace(best_t - span_t, best_t + span_t, 7)
-        alphas = np.linspace(best_a - span_a, best_a + span_a, 7)
-    if best_val >= base - 1e-15:
-        return current
-    c, s = math.cos(best_t), math.sin(best_t)
-    ph = complex(math.cos(best_a), math.sin(best_a))
-    rot = np.array([[c, s * ph], [-s * np.conj(ph), c]])
-    psi[[i, j]] = rot @ psi[[i, j]]
-    vm[[i, j]] = rot @ vm[[i, j]]
-    if not (math.isfinite(base) and math.isfinite(current)):
-        return obj.of_members(psi)
-    return current - (base - best_val)
+    def terms(self, a: np.ndarray, mu: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+        """Member values of an (n, d, d) stack and their gradients under the
+        real inner product Re tr(X^dagger Y), without an SVD at d = 2, for
+        e_d2, and for e_d3 at d = 3, where it is 3 |det A|^(2/3).  mu smooths
+        e_d3 at det = 0 by adding mu^2 to (s1 s2 s3)^2."""
+        d = self.d
+        if d == 2 or (d == 3 and self.kind == "e3"):
+            # k (|det|^2 + mu^2)^e; with the cofactors C, d|det|^2 = 2 Re(conj(det) sum C dA)
+            if d == 2:
+                k, e, cof = 2.0, 0.5, a[:, ::-1, ::-1] * _SIGN2
+            else:
+                b1, b2 = a[:, _ROT1], a[:, _ROT2]
+                k, e = 3.0, 1.0 / 3.0
+                cof = b1[:, :, _ROT1] * b2[:, :, _ROT2] - b1[:, :, _ROT2] * b2[:, :, _ROT1]
+            det = (a[:, 0] * cof[:, 0]).sum(axis=1)
+            x = (det * det.conj()).real + mu * mu
+            scale = 2.0 * k * e * np.where(x > 0.0, x, np.inf) ** (e - 1.0) * det
+            return k * x ** e, scale[:, None, None] * cof.conj()
+        if self.kind == "e2":
+            h = a @ a.conj().transpose(0, 2, 1)
+            p = np.trace(h, axis1=1, axis2=2).real
+            c = d / (d - 1.0)
+            vals = np.sqrt(c * np.clip(p * p - (h * h.conj()).real.sum(axis=(1, 2)), 0.0, None))
+            scale = 2.0 * c / np.where(vals > 0.0, vals, np.inf)
+            return vals, scale[:, None, None] * (p[:, None, None] * a - h @ a)
+        w, s, xh = np.linalg.svd(a)
+        if self.kind == "neg":
+            total = s.sum(axis=1, keepdims=True)
+            vals = (total[:, 0] ** 2 - (s * s).sum(axis=1)) / (d - 1.0)
+            ds = 2.0 * (total - s) / (d - 1.0)
+        else:
+            k = (6.0 * d * d / ((d - 1.0) * (d - 2.0))) ** (1.0 / 3.0)
+            t2 = s[:, :3] ** 2
+            x = t2.prod(axis=1) + mu * mu
+            vals = k * x ** (1.0 / 3.0)
+            # d(s1 s2 s3)^2 / ds_j = 2 s_j times the other two squares
+            dx = 2.0 * s[:, :3] * t2[:, _ROT1] * t2[:, _ROT2]
+            ds = np.zeros_like(s)
+            ds[:, :3] = k / 3.0 * np.where(x > 0.0, x, np.inf)[:, None] ** (-2.0 / 3.0) * dx
+        return vals, (w * ds[:, None, :]) @ xh
 
 
-def _descend_once(obj: _RoofObjective, comps: np.ndarray, vm0: np.ndarray,
+# An e_d3 descent first runs on the term smoothed by this mu, since
+# |det|^(2/3) has an infinite gradient at det = 0, then on the exact term.
+# A mu far below a member's |det| keeps the cusps' pull towards sparse
+# decompositions; mu = 1e-2 flattens them and ends higher on most rank-2 states.
+_E3_MU = 3e-5
+_ARMIJO = 1e-4
+_MIN_STEP = 1e-12
+
+
+def _tangent(v: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Projection of g onto the tangent space of the Stiefel manifold at v."""
+    h = v.conj().T @ g
+    return g - v @ (0.5 * (h + h.conj().T))
+
+
+def _value_grad(obj: _RoofObjective, comps: np.ndarray, v: np.ndarray,
+                mu: float) -> tuple[float, np.ndarray]:
+    """Objective at the isometry v and its Riemannian gradient."""
+    vals, grads = obj.terms((v @ comps).reshape(-1, obj.d, obj.d), mu)
+    return float(vals.sum()), _tangent(v, grads.reshape(len(vals), -1) @ comps.conj().T)
+
+
+def _cg_stage(obj: _RoofObjective, comps: np.ndarray, v: np.ndarray, mu: float,
+              max_steps: int, tol: float) -> tuple[np.ndarray, bool, int]:
+    """Polak-Ribiere+ conjugate gradients with Armijo backtracking, so the
+    objective never rises.  Converged when two successive steps each lower it
+    by less than tol * max(1, value) (one short step after backtracking at a
+    kink of a member term says little), or when no step lowers it."""
+    f, grad = _value_grad(obj, comps, v, mu)
+    direction = -grad
+    t = 1.0
+    stalled = False
+    for step in range(1, max_steps + 1):
+        slope = float(np.vdot(grad, direction).real)
+        if slope >= 0.0:
+            direction, slope = -grad, -float(np.vdot(grad, grad).real)
+        if slope == 0.0:
+            return v, True, step - 1
+        while True:
+            v_new = _polar(v + t * direction)
+            f_new, grad_new = _value_grad(obj, comps, v_new, mu)
+            if f_new <= f + _ARMIJO * t * slope:
+                break
+            t *= 0.5
+            if t < _MIN_STEP:
+                return v, True, step
+        # grad_new is tangent at v_new, so projecting the old gradient there
+        # would not change its product with grad_new
+        beta = max(0.0, float(np.vdot(grad_new, grad_new - grad).real)
+                   / float(np.vdot(grad, grad).real))
+        direction = -grad_new + beta * _tangent(v_new, direction)
+        small = f - f_new < tol * max(1.0, abs(f_new))
+        v, f, grad = v_new, f_new, grad_new
+        if small and stalled:
+            return v, True, step
+        stalled = small
+        t *= 2.0
+    return v, False, max_steps
+
+
+def _descend_once(obj: _RoofObjective, comps: np.ndarray, v0: np.ndarray,
                   cfg: OptimizerConfig) -> tuple[float, np.ndarray, bool, int]:
-    vm = vm0.copy()
-    psi = vm @ comps
-    val = obj.of_members(psi)
-    n = psi.shape[0]
-    rounds = 0
-    converged = False
-    for _ in range(cfg.max_iters):
-        rounds += 1
-        before = val
-        for i in range(n):
-            for j in range(i + 1, n):
-                val = _pair_minimize(obj, psi, vm, i, j, val)
-        if math.isinf(val):
-            break
-        if before - val < cfg.tol * max(1.0, abs(val)):
-            converged = True
-            break
-    # refresh from the accumulated rotations to shed drift
-    val = obj.of_members(vm @ comps)
-    return val, vm, converged, rounds
+    """One restart: (certified value, isometry, converged, descent steps).
+    The start is kept if the certificate ends higher, which rounding in a
+    member term near zero can cause."""
+    v, steps = v0, 0
+    for mu in ((_E3_MU, 0.0) if obj.kind == "e3" else (0.0,)):
+        v, converged, used = _cg_stage(obj, comps, v, mu, cfg.max_iters - steps, cfg.tol)
+        steps += used
+    val, val0 = obj.of_members(v @ comps), obj.of_members(v0 @ comps)
+    return (val, v, converged, steps) if val <= val0 else (val0, v0, converged, steps)
 
 
 def _isometry_from_decomposition(dec: PureDecomposition, spectral: PureDecomposition,
@@ -360,40 +371,27 @@ def _roof_search(rho: DensityMatrix, kind: str, cfg: OptimizerConfig,
     comps = np.array([math.sqrt(p) * st.vector()
                       for p, st in zip(spectral.weights, spectral.states)])
     if r == 1:
-        psi = comps.copy()
-        val = obj.of_members(psi)
+        val = obj.of_members(comps)
         value = None if math.isinf(val) else val
         return OptResult(value=value, argument_unitary=np.eye(1, dtype=np.complex128),
                          converged=True, iterations_used=0, search_value=value)
 
     n = cfg.ensemble_factor * r
-    starts: list[np.ndarray] = []
-    identity = np.zeros((n, r), dtype=np.complex128)
-    identity[:r, :r] = np.eye(r)
-    starts.append(identity)
-    for dec in extra_seeds:
-        if len(dec.states) <= n:
-            starts.append(_isometry_from_decomposition(dec, spectral, n))
+    starts = [np.eye(n, r, dtype=np.complex128)]
+    starts += [_isometry_from_decomposition(dec, spectral, n)
+               for dec in extra_seeds if len(dec.states) <= n]
     while len(starts) < cfg.restarts:
-        idx = len(starts)
-        starts.append(random_isometry(n, r, np.random.default_rng(cfg.seed ^ idx)))
-
-    best_val = math.inf
-    best_vm = None
-    best_conv = False
-    best_rounds = 0
-    for vm0 in starts[: max(cfg.restarts, len(starts))]:
-        val, vm, conv, rounds = _descend_once(obj, comps, vm0, cfg)
-        if val < best_val:
-            best_val, best_vm, best_conv, best_rounds = val, vm, conv, rounds
-    if math.isinf(best_val) or best_vm is None:
+        starts.append(random_isometry(n, r, np.random.default_rng(cfg.seed ^ len(starts))))
+    runs = [_descend_once(obj, comps, vm0, cfg) for vm0 in starts]
+    best_val, best_vm, best_conv, best_steps = min(runs, key=lambda run: run[0])
+    if math.isinf(best_val):
         return OptResult(value=None, argument_unitary=None, converged=False,
-                         iterations_used=best_rounds, search_value=None)
+                         iterations_used=0, search_value=None)
     dev = np.abs(linalg.dagger(best_vm) @ best_vm - np.eye(r)).max()
     if dev > MANIFOLD_TOL:
         raise InvariantError(f"search left the isometry manifold by {dev:.3e}")
     return OptResult(value=best_val, argument_unitary=best_vm, converged=best_conv,
-                     iterations_used=best_rounds, search_value=best_val)
+                     iterations_used=best_steps, search_value=best_val)
 
 
 def cren_upper_bound(rho: DensityMatrix, decomposition: PureDecomposition) -> float:

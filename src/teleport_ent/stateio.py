@@ -106,11 +106,6 @@ def format_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_csv(path: str, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_csv(rows))
-
-
 def format_value(x) -> str:
     if x is None:
         return "unavailable"

@@ -226,3 +226,21 @@ def test_restarts_below_one_exit_2(capsys, command, value):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "must be at least 1" in err and "--restarts" in err
+
+
+@pytest.mark.parametrize("value", ["1", "0", "-5"])
+def test_bounds_dimension_below_two_exit_2(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", f"--d={value}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "must be at least 2" in err and "--d" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_dynamics_max_steps_below_one_exit_2(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["dynamics", f"--max-steps={value}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "must be at least 1" in err and "--max-steps" in err

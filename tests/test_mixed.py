@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from teleport_ent import mixed
 from teleport_ent import (
     DensityMatrix,
     InvariantError,
@@ -168,3 +169,77 @@ def test_classify_mixed_maximally_mixed_not_useful():
     # the rank field still reports the decomposition is product states
     assert rep.schmidt_rank == 1
     assert rep.negativity == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the roof descent
+
+
+def _spectral_comps(rho):
+    dec = spectral_decomposition(rho)
+    return np.array([math.sqrt(p) * st.vector() for p, st in zip(dec.weights, dec.states)])
+
+
+@pytest.mark.parametrize("d,kind,mu", [(2, "neg", 0.0), (2, "e2", 0.0), (3, "e2", 0.0),
+                                       (3, "e3", 0.0), (3, "e3", 1e-2), (3, "neg", 0.0),
+                                       (4, "e3", 1e-2)])
+def test_roof_gradient_matches_finite_differences(d, kind, mu):
+    rng = np.random.default_rng(80 + d)
+    obj = mixed._RoofObjective(d, kind)
+    a = rng.standard_normal((5, d, d)) + 1j * rng.standard_normal((5, d, d))
+    step = rng.standard_normal(a.shape) + 1j * rng.standard_normal(a.shape)
+    _, grad = obj.terms(a, mu)
+    h = 1e-6
+    numeric = (obj.terms(a + h * step, mu)[0].sum() - obj.terms(a - h * step, mu)[0].sum()) / (2 * h)
+    analytic = float(np.vdot(grad, step).real)
+    assert abs(numeric - analytic) <= 1e-6 * abs(analytic)
+
+
+def test_roof_terms_agree_with_certificate():
+    rng = np.random.default_rng(85)
+    for d, kinds in ((2, ("neg", "e2")), (3, ("neg", "e2", "e3"))):
+        a = rng.standard_normal((6, d, d)) + 1j * rng.standard_normal((6, d, d))
+        for kind in kinds:
+            obj = mixed._RoofObjective(d, kind)
+            assert abs(obj.terms(a)[0].sum() - obj.of_members(a.reshape(6, -1))) < 1e-10
+
+
+@pytest.mark.parametrize("seed", [90, 91, 92])
+def test_roof_value_is_certified_at_returned_isometry(seed):
+    rho = random_density_matrix(3, np.random.default_rng(seed), rank=3)
+    comps = _spectral_comps(rho)
+    neg = negativity_mixed(rho)
+    for kind, search in (("neg", cren_estimate), ("e2", e_d2_mixed), ("e3", e_d3_mixed)):
+        res = search(rho, FAST)
+        v = res.argument_unitary
+        assert np.abs(v.conj().T @ v - np.eye(v.shape[1])).max() <= mixed.MANIFOLD_TOL
+        assert res.value == mixed._RoofObjective(3, kind).of_members(v @ comps)
+        assert 1 <= res.iterations_used <= FAST.max_iters
+        if kind == "neg":
+            assert res.value >= neg - 1e-9
+
+
+def test_two_qubit_roof_reaches_wootters_concurrence():
+    cfg = OptimizerConfig(restarts=6, seed=505)
+    for seed in range(95, 100):
+        rho = random_density_matrix(2, np.random.default_rng(seed))
+        assert abs(e_d2_mixed(rho, cfg).value - concurrence_2qubit(rho)) <= 1e-6
+
+
+def test_d4_rank_capped_roof_is_none_or_validated():
+    rng = np.random.default_rng(101)
+    embedded = np.zeros((4, 4, 4, 4), dtype=complex)
+    embedded[:3, :3, :3, :3] = random_density_matrix(3, rng).mat.reshape(3, 3, 3, 3)
+    states = [DensityMatrix.from_matrix(embedded.reshape(16, 16))]
+    states += [random_density_matrix(4, rng, rank=k) for k in (2, 3, None)]
+    found = 0
+    for rho in states:
+        res = e_d2_mixed(rho, FAST)
+        if res.value is None:
+            continue
+        found += 1
+        members = res.argument_unitary @ _spectral_comps(rho)
+        np.testing.assert_allclose(members.T @ members.conj(), rho.mat, atol=1e-10)
+        assert res.value == mixed._RoofObjective(4, "e2").of_members(members)
+        assert math.isfinite(res.value) and res.value >= 0.0
+    assert found >= 1  # the state supported on a 3x3 block has rank-3 members
