@@ -188,7 +188,8 @@ def _cmd_dynamics(args) -> int:
         rows = dyn.sweep(cfg, axis, _parse_grid(grid_text), jobs=args.jobs).rows
     else:
         traj = dyn.evolve(cfg)
-        rows = tuple(traj.row(k) for k in range(len(traj)))
+        rows = np.column_stack((traj.t, traj.concurrence, traj.fraction, traj.fidelity,
+                                traj.trace_err, traj.min_eig))
     text = stateio.format_csv(rows)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

@@ -10,7 +10,9 @@ Two search engines live here:
   polar factor) estimating convex-roof extensions of the pure-state
   measures: negativity (a CREN upper bound) and the rank-aware e_d2 / e_d3.
   The value is the measure averaged over the returned decomposition, so it
-  is an upper bound on the roof.
+  is an upper bound on the roof.  The descent and this certificate evaluate
+  the members with the same formulas (`_RoofObjective.terms`); the
+  certificate adds only the rank-3 cap of e_d2 / e_d3 at d >= 4.
 
 For two qubits the singlet fraction also has a closed form (largest
 eigenvalue of the real part of rho expressed in a phase-fixed maximally
@@ -28,9 +30,9 @@ from .errors import InvariantError
 from . import linalg
 from .states import (
     DEFAULT_RANK_TOL,
+    ENSEMBLE_FACTOR,
     DensityMatrix,
     PureDecomposition,
-    SchmidtSpectrum,
     haar_unitary,
     random_isometry,
     schmidt,
@@ -50,16 +52,12 @@ class OptimizerConfig:
     max_iters: int = 500
     tol: float = 1e-9
     seed: int = DEFAULT_SEED
-    # ensemble size used by decomposition searches, as a multiple of rank
-    ensemble_factor: int = 2
 
     def __post_init__(self):
         if self.restarts < 1 or self.max_iters < 1:
             raise InvariantError("restarts and max_iters must be positive")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise InvariantError("tol must be finite and positive")
-        if self.ensemble_factor < 1:
-            raise InvariantError("ensemble_factor must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -199,15 +197,19 @@ def singlet_fraction_mixed(rho: DensityMatrix, cfg: OptimizerConfig | None = Non
 
 _ROT1 = np.array([1, 2, 0])
 _ROT2 = np.array([2, 0, 1])
+# C_ij = A[i1, j1] A[i2, j2] - A[i1, j2] A[i2, j1], i1 = _ROT1[i], i2 = _ROT2[i]
+_COF = np.array([3 * r[:, None] + c for r, c in
+                 ((_ROT1, _ROT1), (_ROT2, _ROT2), (_ROT1, _ROT2), (_ROT2, _ROT1))])
 _SIGN2 = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 class _RoofObjective:
     """Sum over ensemble members of p times a pure-state measure, where a
     member is an unnormalized amplitude matrix A of weight p = |A|_F^2 and
-    singular values s.  In these terms negativity is ((sum s)^2 - p)/(d-1),
+    singular values s.  In these terms negativity is 2 sum_{i<j} s_i s_j/(d-1),
     e_d2 is sqrt(2d/(d-1) sum_{i<j} s_i^2 s_j^2) and e_d3 is
     (6d^2/((d-1)(d-2)) (s1 s2 s3)^2)^(1/3); at d = 2 every measure is 2|det A|.
+    `terms` holds the one formula per measure and dimension, for descent and certificate.
     """
 
     def __init__(self, d: int, kind: str):
@@ -218,53 +220,55 @@ class _RoofObjective:
         """Certified value of the (m, d*d) members psi; inf when e_d2 or e_d3
         meets a member of Schmidt rank above three."""
         d = self.d
-        if d == 2:
-            return float(2.0 * np.abs(psi[:, 0] * psi[:, 3] - psi[:, 1] * psi[:, 2]).sum())
-        s2 = np.linalg.svd(psi.reshape(-1, d, d), compute_uv=False) ** 2
-        p = s2.sum(axis=1, keepdims=True)
-        if self.kind != "neg" and np.any((s2[:, 3:] > DEFAULT_RANK_TOL * p) & (p > WEIGHT_FLOOR)):
-            return math.inf
-        if self.kind == "neg":
-            vals = np.clip(np.sqrt(s2).sum(axis=1) ** 2 - p[:, 0], 0.0, None) / (d - 1.0)
-        elif self.kind == "e2":
-            # sum_{i<j} s_i^2 s_j^2 as s_i^2 times the sum of the later ones,
-            # which keeps a product member's value at rounding level
-            pairs = (s2[:, :-1] * np.cumsum(s2[:, :0:-1], axis=1)[:, ::-1]).sum(axis=1)
-            vals = np.sqrt(2.0 * d / (d - 1.0) * pairs)
-        else:
-            vals = (6.0 * d * d / ((d - 1.0) * (d - 2.0)) * s2[:, :3].prod(axis=1)) ** (1.0 / 3.0)
-        return float(vals.sum())
+        a = psi.reshape(-1, d, d)
+        if d >= 4 and self.kind != "neg":
+            s2 = np.linalg.svd(a, compute_uv=False) ** 2
+            p = s2.sum(axis=1, keepdims=True)
+            if np.any((s2[:, 3:] > DEFAULT_RANK_TOL * p) & (p > WEIGHT_FLOOR)):
+                return math.inf
+        return float(self.terms(a)[0].sum())
 
     def terms(self, a: np.ndarray, mu: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
         """Member values of an (n, d, d) stack and their gradients under the
-        real inner product Re tr(X^dagger Y), without an SVD at d = 2, for
-        e_d2, and for e_d3 at d = 3, where it is 3 |det A|^(2/3).  mu smooths
-        e_d3 at det = 0 by adding mu^2 to (s1 s2 s3)^2."""
+        real inner product Re tr(X^dagger Y).  At d = 2, and for e_d2 and e_d3
+        at d = 3, they come from the cofactors without an SVD: e_d3 is
+        3 |det A|^(2/3), and e_d2 is sqrt(3 sum |C|^2), since sum_{i<j} s_i^2 s_j^2
+        is the squared norm of the 2 x 2 minors.  mu smooths e_d3 at det = 0 by
+        adding mu^2 to (s1 s2 s3)^2."""
         d = self.d
-        if d == 2 or (d == 3 and self.kind == "e3"):
-            # k (|det|^2 + mu^2)^e; with the cofactors C, d|det|^2 = 2 Re(conj(det) sum C dA)
+        if d == 2 or (d == 3 and self.kind != "neg"):
             if d == 2:
                 k, e, cof = 2.0, 0.5, a[:, ::-1, ::-1] * _SIGN2
             else:
-                b1, b2 = a[:, _ROT1], a[:, _ROT2]
                 k, e = 3.0, 1.0 / 3.0
-                cof = b1[:, :, _ROT1] * b2[:, :, _ROT2] - b1[:, :, _ROT2] * b2[:, :, _ROT1]
+                f = a.reshape(-1, 9)[:, _COF]
+                cof = f[:, 0] * f[:, 1] - f[:, 2] * f[:, 3]
+            if self.kind == "e2" and d == 3:
+                # d sum|C|^2 = d (p^2 - tr h^2) / 2 = 2 Re tr((pA - hA)^dagger dA), h = AA^dagger
+                vals = np.sqrt(3.0 * (cof * cof.conj()).real.sum(axis=(1, 2)))
+                h = a @ a.conj().transpose(0, 2, 1)
+                p = (a * a.conj()).real.sum(axis=(1, 2))
+                scale = 3.0 / np.where(vals > 0.0, vals, np.inf)
+                return vals, scale[:, None, None] * (p[:, None, None] * a - h @ a)
+            # k (|det|^2 + mu^2)^e; with the cofactors C, d|det|^2 = 2 Re(conj(det) sum C dA)
             det = (a[:, 0] * cof[:, 0]).sum(axis=1)
             x = (det * det.conj()).real + mu * mu
             scale = 2.0 * k * e * np.where(x > 0.0, x, np.inf) ** (e - 1.0) * det
             return k * x ** e, scale[:, None, None] * cof.conj()
-        if self.kind == "e2":
-            h = a @ a.conj().transpose(0, 2, 1)
-            p = np.trace(h, axis1=1, axis2=2).real
-            c = d / (d - 1.0)
-            vals = np.sqrt(c * np.clip(p * p - (h * h.conj()).real.sum(axis=(1, 2)), 0.0, None))
-            scale = 2.0 * c / np.where(vals > 0.0, vals, np.inf)
-            return vals, scale[:, None, None] * (p[:, None, None] * a - h @ a)
         w, s, xh = np.linalg.svd(a)
         if self.kind == "neg":
-            total = s.sum(axis=1, keepdims=True)
-            vals = (total[:, 0] ** 2 - (s * s).sum(axis=1)) / (d - 1.0)
-            ds = 2.0 * (total - s) / (d - 1.0)
+            # 2 sum_{i<j} s_i s_j = sum_j s_j (sum s - s_j), a sum of terms >= 0
+            ds = 2.0 * (s.sum(axis=1, keepdims=True) - s) / (d - 1.0)
+            vals = 0.5 * (s * ds).sum(axis=1)
+        elif self.kind == "e2":
+            # sum_{i<j} s_i^2 s_j^2 as s_i^2 times the sum of the later ones,
+            # which keeps a product member's value at rounding level
+            s2 = s * s
+            later = np.cumsum(s2[:, :0:-1], axis=1)[:, ::-1]
+            vals = np.sqrt(2.0 * d / (d - 1.0) * (s2[:, :-1] * later).sum(axis=1))
+            # its derivative in s_j is 2 s_j times the sum of the other squares
+            scale = 2.0 * d / (d - 1.0) / np.where(vals > 0.0, vals, np.inf)
+            ds = scale[:, None] * s * (s2.sum(axis=1, keepdims=True) - s2)
         else:
             k = (6.0 * d * d / ((d - 1.0) * (d - 2.0))) ** (1.0 / 3.0)
             t2 = s[:, :3] ** 2
@@ -353,13 +357,9 @@ def _descend_once(obj: _RoofObjective, comps: np.ndarray, v0: np.ndarray,
 def _isometry_from_decomposition(dec: PureDecomposition, spectral: PureDecomposition,
                                  n_rows: int) -> np.ndarray:
     """Express an ensemble as a row mix of the spectral components."""
-    r = len(spectral.states)
     comp_vecs = np.array([st.vector() for st in spectral.states])
-    raw = np.zeros((n_rows, r), dtype=np.complex128)
-    for i, (p, st) in enumerate(zip(dec.weights, dec.states)):
-        target = math.sqrt(p) * st.vector()
-        overlaps = comp_vecs.conj() @ target
-        raw[i, :] = overlaps / np.sqrt(spectral.weights)
+    raw = np.zeros((n_rows, len(spectral.states)), dtype=np.complex128)
+    raw[:len(dec.states)] = dec.members() @ comp_vecs.conj().T / np.sqrt(spectral.weights)
     return _polar(raw)
 
 
@@ -368,15 +368,17 @@ def _roof_search(rho: DensityMatrix, kind: str, cfg: OptimizerConfig,
     obj = _RoofObjective(rho.d, kind)
     spectral = spectral_decomposition(rho)
     r = len(spectral.states)
-    comps = np.array([math.sqrt(p) * st.vector()
-                      for p, st in zip(spectral.weights, spectral.states)])
+    comps = spectral.members()
     if r == 1:
         val = obj.of_members(comps)
         value = None if math.isinf(val) else val
         return OptResult(value=value, argument_unitary=np.eye(1, dtype=np.complex128),
                          converged=True, iterations_used=0, search_value=value)
 
-    n = cfg.ensemble_factor * r
+    n = ENSEMBLE_FACTOR * r
+    # The spectral decomposition: its zero rows have zero gradient and stay
+    # zero, so this start searches r-member ensembles only, by design; it is
+    # often the best start for e_d2.
     starts = [np.eye(n, r, dtype=np.complex128)]
     starts += [_isometry_from_decomposition(dec, spectral, n)
                for dec in extra_seeds if len(dec.states) <= n]
@@ -399,10 +401,7 @@ def cren_upper_bound(rho: DensityMatrix, decomposition: PureDecomposition) -> fl
     err = linalg.frobenius(decomposition.reconstruct() - rho.mat)
     if err > 1e-8:
         raise InvariantError(f"decomposition does not reproduce rho (error {err:.3e})")
-    total = 0.0
-    for p, st in zip(decomposition.weights, decomposition.states):
-        total += p * measures.negativity_pure(schmidt(st), rho.d)
-    return total
+    return _RoofObjective(rho.d, "neg").of_members(decomposition.members())
 
 
 def cren_estimate(rho: DensityMatrix, cfg: OptimizerConfig | None = None,

@@ -22,6 +22,8 @@ DEFAULT_RANK_TOL = 1e-9
 SPECTRAL_WEIGHT_FLOOR = 1e-12
 RECONSTRUCTION_TOL = 1e-8
 ISOMETRY_TOL = 1e-8
+# An ensemble mixing r spectral terms has at most this many times r members.
+ENSEMBLE_FACTOR = 2
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -138,13 +140,13 @@ class PureDecomposition:
         object.__setattr__(self, "weights", _freeze(w))
         object.__setattr__(self, "states", tuple(self.states))
 
+    def members(self) -> np.ndarray:
+        """(m, d*d) stack of the unnormalized members sqrt(p_i) |psi_i>."""
+        return np.sqrt(self.weights)[:, None] * np.array([st.vector() for st in self.states])
+
     def reconstruct(self) -> np.ndarray:
-        n = self.states[0].d ** 2
-        out = np.zeros((n, n), dtype=np.complex128)
-        for p, st in zip(self.weights, self.states):
-            v = st.vector()
-            out += p * np.outer(v, v.conj())
-        return out
+        m = self.members()
+        return m.T @ m.conj()
 
 
 def validated_decomposition(weights, states, target: DensityMatrix) -> PureDecomposition:
@@ -173,14 +175,13 @@ def spectral_decomposition(rho: DensityMatrix) -> PureDecomposition:
     return validated_decomposition(np.array(weights), tuple(states), rho)
 
 
-def hjw_decomposition(rho: DensityMatrix, mix: np.ndarray,
-                      max_out: int | None = None) -> PureDecomposition:
+def hjw_decomposition(rho: DensityMatrix, mix: np.ndarray) -> PureDecomposition:
     """Ensemble obtained by mixing the spectral components of rho.
 
     mix must be an (n_out, r) isometry over the r retained spectral terms,
-    satisfying mix^dagger mix = I.  Output member i is proportional to
-    sum_j mix[i, j] sqrt(e_j) |v_j>; members with vanishing weight are
-    dropped.  Every such ensemble averages back to rho, which is verified.
+    satisfying mix^dagger mix = I, with r <= n_out <= ENSEMBLE_FACTOR * r.
+    Output member i is proportional to sum_j mix[i, j] sqrt(e_j) |v_j>;
+    members with vanishing weight are dropped.  Every such ensemble averages back to rho, which is verified.
     """
     spectral = spectral_decomposition(rho)
     r = len(spectral.states)
@@ -188,16 +189,14 @@ def hjw_decomposition(rho: DensityMatrix, mix: np.ndarray,
     n_out = mix.shape[0]
     if mix.shape[1] != r:
         raise InvariantError(f"mix has {mix.shape[1]} columns, expected rank {r}")
-    cap = 2 * r if max_out is None else max_out
+    cap = ENSEMBLE_FACTOR * r
     if n_out < r or n_out > cap:
         raise InvariantError(f"mix must have between {r} and {cap} rows, got {n_out}")
     gram_dev = np.abs(linalg.dagger(mix) @ mix - np.eye(r)).max()
     if gram_dev > ISOMETRY_TOL:
         raise InvariantError(f"mix is not an isometry (gram deviation {gram_dev:.3e})")
 
-    comps = np.array([np.sqrt(p) * st.vector() for p, st in
-                      zip(spectral.weights, spectral.states)])
-    members = mix @ comps
+    members = mix @ spectral.members()
     weights = []
     states = []
     for row in members:

@@ -83,6 +83,15 @@ def test_qutrit_example_reports_chain_and_search(capsys):
     assert "searched_e32" in out
 
 
+def test_qutrit_example_search_reaches_product_member_optimum(capsys):
+    # the optimal ensemble at p = 0.25 has a product member; e_32 there is
+    # sqrt(2/3), and a rounding-limited member formula stopped 8.6e-10 above it
+    code, out, _ = run(capsys, "qutrit-example", "--p", "0.25")
+    assert code == 0
+    searched = float(out.split("searched_e32")[1].split("=")[1].split()[0])
+    assert searched <= math.sqrt(2.0 / 3.0) + 5e-10
+
+
 def test_qutrit_example_bad_p_exit_3(capsys):
     code, _, err = run(capsys, "qutrit-example", "--p", "0.9")
     assert code == 3
@@ -109,6 +118,39 @@ def test_dynamics_csv_format(tmp_path, capsys):
     assert lines[0] == "axis,C,f,F,trace_err,min_eig"
     assert len(lines) == 52  # header + 51 steps
     assert os.path.exists(out_path + ".manifest.json")
+
+
+def _csv_per_float(rows):
+    """Per-float CSV formatting, the reference for format_csv's bytes."""
+    lines = [stateio.CSV_HEADER] + [",".join(f"{x:.12g}" for x in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def test_dynamics_csv_bytes_match_per_float_formatting(tmp_path, capsys):
+    from teleport_ent import BathParams, DynamicsConfig, evolve, sweep
+
+    traj = evolve(DynamicsConfig(bath=BathParams(temperature=0.5, r12=0.5),
+                                 t_max=2.0, dt=1e-3))
+    expect = _csv_per_float(traj.row(k) for k in range(len(traj)))
+    path = str(tmp_path / "traj.csv")
+    code, _, _ = run(capsys, "dynamics", "--T", "0.5", "--r12", "0.5", "--t-max", "2",
+                     "--dt", "1e-3", "--out", path)
+    assert code == 0
+    with open(path, "rb") as fh:
+        assert fh.read() == expect.encode()
+
+    rows = sweep(DynamicsConfig(t_max=1.0), "r12", np.linspace(0.1, 2.0, 7)).rows
+    path = str(tmp_path / "sweep.csv")
+    code, _, _ = run(capsys, "dynamics", "--t-max", "1", "--sweep", "r12=0.1:2:7",
+                     "--out", path)
+    assert code == 0
+    with open(path, "rb") as fh:
+        assert fh.read() == _csv_per_float(rows).encode()
+
+    special = [(0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324),
+               (1e16, 123456789012.5, -1e-300, 0.1, 2.0 / 3.0, 1.0)]
+    assert stateio.format_csv(special) == _csv_per_float(special)
+    assert stateio.format_csv(()) == stateio.CSV_HEADER + "\n"
 
 
 def test_dynamics_sweep_grid_parse_error(capsys):

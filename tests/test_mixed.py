@@ -182,7 +182,7 @@ def _spectral_comps(rho):
 
 @pytest.mark.parametrize("d,kind,mu", [(2, "neg", 0.0), (2, "e2", 0.0), (3, "e2", 0.0),
                                        (3, "e3", 0.0), (3, "e3", 1e-2), (3, "neg", 0.0),
-                                       (4, "e3", 1e-2)])
+                                       (4, "e3", 1e-2), (4, "e2", 0.0), (4, "neg", 0.0)])
 def test_roof_gradient_matches_finite_differences(d, kind, mu):
     rng = np.random.default_rng(80 + d)
     obj = mixed._RoofObjective(d, kind)
@@ -202,6 +202,27 @@ def test_roof_terms_agree_with_certificate():
         for kind in kinds:
             obj = mixed._RoofObjective(d, kind)
             assert abs(obj.terms(a)[0].sum() - obj.of_members(a.reshape(6, -1))) < 1e-10
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_e_d2_member_terms_exact_near_product_members(d):
+    # members u v^T + eps x y^T: exactly product at eps = 0, near product above
+    from teleport_ent import PureBipartiteState, e_d2, schmidt
+
+    rng = np.random.default_rng(110 + d)
+    members = []
+    for eps in (0.0, 0.0, 1e-12, 1e-9, 1e-7, 1e-5):
+        u, v, x, y = rng.standard_normal((4, d)) + 1j * rng.standard_normal((4, d))
+        a = np.outer(u, v) + eps * np.outer(x, y)
+        members.append(rng.uniform(0.05, 1.0) * a / np.linalg.norm(a))
+    a = np.array(members)
+    p = (np.abs(a) ** 2).sum(axis=(1, 2))
+    expect = np.array([w * e_d2(schmidt(PureBipartiteState(d=d, amp=m / math.sqrt(w))), d)
+                       for w, m in zip(p, a)])
+    obj = mixed._RoofObjective(d, "e2")
+    assert np.all(np.abs(obj.terms(a)[0] - expect) <= 1e-14 * p)
+    for w, m, want in zip(p, a, expect):
+        assert abs(obj.of_members(m.reshape(1, -1)) - want) <= 1e-14 * w
 
 
 @pytest.mark.parametrize("seed", [90, 91, 92])
