@@ -46,9 +46,12 @@ def _default_seed() -> int:
     if raw is None:
         return mixed.DEFAULT_SEED
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
         raise StateParseError(f"{ENV_SEED} must be an integer, got {raw!r}") from None
+    if seed < 0:
+        raise StateParseError(f"{ENV_SEED} must be non-negative, got {raw!r}")
+    return seed
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -66,14 +69,12 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _report_pure(state: PureBipartiteState, out) -> None:
-    rep = measures.analyze_pure(state)
-    spec = schmidt(state)
-    out.write(f"pure {rep.d}x{rep.d} state, schmidt rank {rep.schmidt_rank}\n")
+def _write_report(header: str, rep: measures.MeasureReport, extra: list) -> None:
+    """Header line, then the report's pairs with extra inserted after schmidt_rank."""
     pairs = [
         ("d", rep.d),
         ("schmidt_rank", rep.schmidt_rank),
-        ("largest_schmidt_coeff", float(spec.lambdas[0])),
+        *extra,
         ("negativity", rep.negativity),
         ("singlet_fraction", rep.singlet_fraction),
         ("fidelity", rep.fidelity),
@@ -83,42 +84,25 @@ def _report_pure(state: PureBipartiteState, out) -> None:
         ("useful_for_teleportation", rep.useful_for_teleportation),
         ("rank_class", rep.rank_class.value),
     ]
-    out.write(stateio.format_report(pairs))
-
-
-def _report_mixed(rho: DensityMatrix, cfg: mixed.OptimizerConfig, out) -> None:
-    rep = mixed.classify_mixed(rho, cfg)
-    out.write(f"density matrix on {rep.d}x{rep.d}, "
-              f"max member schmidt rank {rep.schmidt_rank}\n")
-    pairs = [
-        ("d", rep.d),
-        ("schmidt_rank", rep.schmidt_rank),
-        ("negativity", rep.negativity),
-        ("singlet_fraction", rep.singlet_fraction),
-        ("fidelity", rep.fidelity),
-        ("classical_limit", measures.classical_fidelity_limit(rep.d)),
-        ("e_d2", rep.e_d2),
-        ("e_d3", rep.e_d3),
-        ("useful_for_teleportation", rep.useful_for_teleportation),
-        ("rank_class", rep.rank_class.value),
-    ]
-    out.write(stateio.format_report(pairs))
+    sys.stdout.write(header + "\n" + stateio.format_report(pairs))
 
 
 def _cmd_analyze(args) -> int:
     state = stateio.read_state_file(args.state)
     cfg = mixed.OptimizerConfig(restarts=args.restarts, seed=args.seed)
     if isinstance(state, PureBipartiteState):
-        _report_pure(state, sys.stdout)
+        rep = measures.analyze_pure(state)
+        _write_report(f"pure {rep.d}x{rep.d} state, schmidt rank {rep.schmidt_rank}", rep,
+                      [("largest_schmidt_coeff", float(schmidt(state).lambdas[0]))])
     else:
-        _report_mixed(state, cfg, sys.stdout)
+        rep = mixed.classify_mixed(state, cfg)
+        _write_report(f"density matrix on {rep.d}x{rep.d}, "
+                      f"max member schmidt rank {rep.schmidt_rank}", rep, [])
     return 0
 
 
 def _cmd_bounds(args) -> int:
     d = args.d
-    if d < 2:
-        raise InvariantError("dimension must be at least 2")
     lo2, hi2 = measures.rank2_bounds(d)
     pairs = [
         ("d", d),
@@ -142,18 +126,15 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
-    return value
-
-
-def _dimension(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"dimension must be at least 2, got {text!r}")
-    return value
+def _int_at_least(lo: int):
+    """argparse type: an integer no smaller than lo."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {text!r}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value" errors
+    return parse
 
 
 def _cmd_dynamics(args) -> int:
@@ -249,12 +230,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("analyze", help="measure report for a state file")
     pa.add_argument("state", help="path to a state file (pure or dm)")
-    pa.add_argument("--restarts", type=_positive_int, default=8)
-    pa.add_argument("--seed", type=int, default=seed_default)
+    pa.add_argument("--restarts", type=_int_at_least(1), default=8)
+    pa.add_argument("--seed", type=_int_at_least(0), default=seed_default)
     pa.set_defaults(func=_cmd_analyze)
 
     pb = sub.add_parser("bounds", help="thresholds and band ceilings for a dimension")
-    pb.add_argument("--d", type=_dimension, required=True)
+    pb.add_argument("--d", type=_int_at_least(2), required=True)
     pb.set_defaults(func=_cmd_bounds)
 
     pd = sub.add_parser("dynamics", help="open-system trajectories and sweeps")
@@ -268,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--omega0", type=_finite_float, default=1.0)
     pd.add_argument("--t-max", type=_finite_float, default=5.0)
     pd.add_argument("--dt", type=_finite_float, default=None)
-    pd.add_argument("--max-steps", type=_positive_int, default=dyn.DEFAULT_MAX_STEPS)
+    pd.add_argument("--max-steps", type=_int_at_least(1), default=dyn.DEFAULT_MAX_STEPS)
     pd.add_argument("--state", default=None, help="initial state file (d=2)")
     pd.add_argument("--out", default=None, help="CSV path (default stdout)")
     pd.add_argument("--sweep", metavar="AXIS=LO:HI:N",
@@ -279,15 +260,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     pq = sub.add_parser("qutrit-example", help="built-in two-qutrit family")
     pq.add_argument("--p", type=float, required=True, help="family parameter in [0, 1/2]")
-    pq.add_argument("--restarts", type=_positive_int, default=8)
-    pq.add_argument("--seed", type=int, default=seed_default)
+    pq.add_argument("--restarts", type=_int_at_least(1), default=8)
+    pq.add_argument("--seed", type=_int_at_least(0), default=seed_default)
     pq.set_defaults(func=_cmd_qutrit_example)
 
     pr = sub.add_parser("random", help="write a seeded random state file")
     pr.add_argument("kind", choices=["pure", "dm"])
-    pr.add_argument("--d", type=int, required=True)
-    pr.add_argument("--rank", type=int, default=None)
-    pr.add_argument("--seed", type=int, default=seed_default)
+    pr.add_argument("--d", type=_int_at_least(2), required=True)
+    pr.add_argument("--rank", type=_int_at_least(1), default=None)
+    pr.add_argument("--seed", type=_int_at_least(0), default=seed_default)
     pr.add_argument("--out", default=None)
     pr.set_defaults(func=_cmd_random)
     return p

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantError
-from . import linalg
 from .states import DensityMatrix, PureBipartiteState, SchmidtSpectrum, schmidt
 
 USEFUL_GUARD = 1e-12
@@ -96,9 +95,28 @@ def negativity_pure(spectrum: SchmidtSpectrum, d: int) -> float:
     return _clamp(float(2.0 * pair_sum / (d - 1.0)))
 
 
+def partial_transpose(rho: np.ndarray, d: int, subsystem: str = "A") -> np.ndarray:
+    """Partial transpose of a d*d x d*d matrix over one d-dimensional factor.
+
+    Index convention: row index (i, k) and column index (j, l) refer to
+    basis |i>|k><j|<l|, flattened row-major.  Transposing subsystem A swaps
+    i and j; subsystem B swaps k and l.
+    """
+    four = np.asarray(rho).reshape(d, d, d, d)
+    if subsystem == "A":
+        out = four.transpose(2, 1, 0, 3)
+    elif subsystem == "B":
+        out = four.transpose(0, 3, 2, 1)
+    else:
+        raise InvariantError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
+    return np.ascontiguousarray(out.reshape(d * d, d * d))
+
+
 def negativity_mixed(rho: DensityMatrix) -> float:
-    pt = linalg.partial_transpose(rho.mat, rho.d, "A")
-    return _clamp(float((linalg.trace_norm(pt) - 1.0) / (rho.d - 1.0)))
+    """(||rho^T_A||_1 - 1)/(d - 1), the trace norm as a sum of singular values."""
+    pt = partial_transpose(rho.mat, rho.d, "A")
+    trace_norm = float(np.linalg.svd(pt, compute_uv=False).sum())
+    return _clamp((trace_norm - 1.0) / (rho.d - 1.0))
 
 
 def negativity_fraction_relation_check(spectrum: SchmidtSpectrum, d: int) -> float:
@@ -221,10 +239,9 @@ def classify_rank_band(e2: float | None, useful: bool, d: int,
     return RankClass.UNCLASSIFIED
 
 
-def analyze_pure(state: PureBipartiteState,
-                 rank_tol: float = 1e-9) -> MeasureReport:
+def analyze_pure(state: PureBipartiteState) -> MeasureReport:
     """Full closed-form measure report for a pure state."""
-    spec = schmidt(state, rank_tol)
+    spec = schmidt(state)
     d = state.d
     rank = spec.schmidt_rank
     f = singlet_fraction_pure(spec, d)

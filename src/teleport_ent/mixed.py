@@ -27,10 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantError
-from . import linalg
 from .states import (
     DEFAULT_RANK_TOL,
     ENSEMBLE_FACTOR,
+    RECONSTRUCTION_TOL,
     DensityMatrix,
     PureDecomposition,
     haar_unitary,
@@ -58,6 +58,8 @@ class OptimizerConfig:
             raise InvariantError("restarts and max_iters must be positive")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise InvariantError("tol must be finite and positive")
+        if self.seed < 0:
+            raise InvariantError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -90,8 +92,8 @@ def _fraction_of_unitary(rho_mat: np.ndarray, u: np.ndarray, d: int) -> float:
 
 def _top_eigvec_warm_start(rho: DensityMatrix) -> np.ndarray:
     """Unitary maximizing overlap with the dominant eigenvector of rho."""
-    res = linalg.herm_eig(rho.mat)
-    return _polar(res.eigenvectors[:, -1].reshape(rho.d, rho.d))
+    _, vecs = np.linalg.eigh(rho.mat)
+    return _polar(vecs[:, -1].reshape(rho.d, rho.d))
 
 
 def _ascend_once(rho_mat: np.ndarray, d: int, u0: np.ndarray,
@@ -117,28 +119,20 @@ def _ascend_once(rho_mat: np.ndarray, d: int, u0: np.ndarray,
     return f, u, False, cfg.max_iters
 
 
-_MAGIC = None
-
-
-def _magic_basis() -> np.ndarray:
-    """Columns are a phase-fixed basis of maximally entangled 2-qubit states;
-    their real spans are exactly the maximally entangled states."""
-    global _MAGIC
-    if _MAGIC is None:
-        inv = 1.0 / math.sqrt(2.0)
-        e1 = np.array([1, 0, 0, 1], dtype=np.complex128) * inv
-        e2 = np.array([1j, 0, 0, -1j], dtype=np.complex128) * inv
-        e3 = np.array([0, 1j, 1j, 0], dtype=np.complex128) * inv
-        e4 = np.array([0, 1, -1, 0], dtype=np.complex128) * inv
-        _MAGIC = np.column_stack([e1, e2, e3, e4])
-    return _MAGIC
+# Columns are a phase-fixed basis of maximally entangled 2-qubit states;
+# their real spans are exactly the maximally entangled states.
+_MAGIC = np.column_stack([
+    np.array([1, 0, 0, 1], dtype=np.complex128),
+    np.array([1j, 0, 0, -1j], dtype=np.complex128),
+    np.array([0, 1j, 1j, 0], dtype=np.complex128),
+    np.array([0, 1, -1, 0], dtype=np.complex128),
+]) * (1.0 / math.sqrt(2.0))
 
 
 def fef_2qubit_stack(mats: np.ndarray) -> np.ndarray:
     """Closed-form maximal singlet fraction of each matrix in a (..., 4, 4)
     stack: the top eigenvalue of the real part of rho in the magic basis."""
-    e = _magic_basis()
-    m = linalg.dagger(e) @ mats @ e
+    m = _MAGIC.conj().T @ mats @ _MAGIC
     return np.linalg.eigvalsh(np.real(m))[..., -1]
 
 
@@ -150,10 +144,9 @@ def fef_2qubit_closed_form(rho: DensityMatrix) -> float:
 
 
 def _fef_2qubit_optimal_unitary(rho: DensityMatrix) -> np.ndarray:
-    e = _magic_basis()
-    m = linalg.dagger(e) @ rho.mat @ e
+    m = _MAGIC.conj().T @ rho.mat @ _MAGIC
     _, vecs = np.linalg.eigh(np.real(m))
-    vec = e @ vecs[:, -1].astype(np.complex128)
+    vec = _MAGIC @ vecs[:, -1].astype(np.complex128)
     return _polar(math.sqrt(2.0) * vec.reshape(2, 2))
 
 
@@ -185,7 +178,7 @@ def singlet_fraction_mixed(rho: DensityMatrix, cfg: OptimizerConfig | None = Non
         if closed > best_val:
             best_val = closed
             best_u = _fef_2qubit_optimal_unitary(rho)
-    dev = np.abs(linalg.dagger(best_u) @ best_u - np.eye(d)).max()
+    dev = np.abs(best_u.conj().T @ best_u - np.eye(d)).max()
     if dev > MANIFOLD_TOL:
         raise InvariantError(f"optimizer left the unitary manifold by {dev:.3e}")
     return OptResult(value=best_val, argument_unitary=best_u, converged=best_conv,
@@ -389,7 +382,7 @@ def _roof_search(rho: DensityMatrix, kind: str, cfg: OptimizerConfig,
     if math.isinf(best_val):
         return OptResult(value=None, argument_unitary=None, converged=False,
                          iterations_used=0, search_value=None)
-    dev = np.abs(linalg.dagger(best_vm) @ best_vm - np.eye(r)).max()
+    dev = np.abs(best_vm.conj().T @ best_vm - np.eye(r)).max()
     if dev > MANIFOLD_TOL:
         raise InvariantError(f"search left the isometry manifold by {dev:.3e}")
     return OptResult(value=best_val, argument_unitary=best_vm, converged=best_conv,
@@ -398,8 +391,8 @@ def _roof_search(rho: DensityMatrix, kind: str, cfg: OptimizerConfig,
 
 def cren_upper_bound(rho: DensityMatrix, decomposition: PureDecomposition) -> float:
     """Ensemble-averaged pure negativity; an upper bound on the convex roof."""
-    err = linalg.frobenius(decomposition.reconstruct() - rho.mat)
-    if err > 1e-8:
+    err = float(np.linalg.norm(decomposition.reconstruct() - rho.mat))
+    if err > RECONSTRUCTION_TOL:
         raise InvariantError(f"decomposition does not reproduce rho (error {err:.3e})")
     return _RoofObjective(rho.d, "neg").of_members(decomposition.members())
 

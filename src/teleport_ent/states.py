@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvariantError
-from . import linalg
 
 NORMALIZATION_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -22,8 +21,27 @@ DEFAULT_RANK_TOL = 1e-9
 SPECTRAL_WEIGHT_FLOOR = 1e-12
 RECONSTRUCTION_TOL = 1e-8
 ISOMETRY_TOL = 1e-8
+HERMITICITY_TOL = 1e-10
 # An ensemble mixing r spectral terms has at most this many times r members.
 ENSEMBLE_FACTOR = 2
+
+
+def ensure_matrix(m, rows: int | None = None, cols: int | None = None) -> np.ndarray:
+    """Coerce to a 2-D complex128 array and reject non-finite entries."""
+    a = np.asarray(m, dtype=np.complex128)
+    if a.ndim != 2:
+        raise InvariantError(f"expected a 2-D matrix, got ndim={a.ndim}")
+    if rows is not None and a.shape[0] != rows:
+        raise InvariantError(f"expected {rows} rows, got {a.shape[0]}")
+    if cols is not None and a.shape[1] != cols:
+        raise InvariantError(f"expected {cols} columns, got {a.shape[1]}")
+    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+        raise InvariantError("matrix contains non-finite entries")
+    return a
+
+
+def is_hermitian(m: np.ndarray) -> bool:
+    return bool(np.abs(m - m.conj().T).max(initial=0.0) <= HERMITICITY_TOL)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -41,7 +59,7 @@ class PureBipartiteState:
     amp: np.ndarray
 
     def __post_init__(self):
-        amp = linalg.ensure_matrix(self.amp, self.d, self.d)
+        amp = ensure_matrix(self.amp, self.d, self.d)
         norm2 = float(np.vdot(amp, amp).real)
         if abs(norm2 - 1.0) > NORMALIZATION_TOL:
             raise InvariantError(f"state norm^2 = {norm2!r} deviates from 1")
@@ -79,12 +97,11 @@ class SchmidtSpectrum:
         return int(np.count_nonzero(self.lambdas > self.rank_tol))
 
 
-def schmidt(state: PureBipartiteState, rank_tol: float = DEFAULT_RANK_TOL) -> SchmidtSpectrum:
-    """Schmidt spectrum of a pure state via SVD of its amplitude matrix."""
+def schmidt(state: PureBipartiteState) -> SchmidtSpectrum:
+    """Schmidt spectrum of a pure state: the squared singular values of its
+    amplitude matrix, which LAPACK returns descending."""
     s = np.linalg.svd(state.amp, compute_uv=False)
-    lam = s * s
-    lam[lam < 0] = 0.0
-    return SchmidtSpectrum(lambdas=np.sort(lam)[::-1], rank_tol=rank_tol)
+    return SchmidtSpectrum(lambdas=s * s)
 
 
 @dataclass(frozen=True)
@@ -96,9 +113,9 @@ class DensityMatrix:
 
     def __post_init__(self):
         n = self.d * self.d
-        mat = linalg.ensure_matrix(self.mat, n, n)
-        if not linalg.is_hermitian(mat):
-            raise InvariantError("density matrix is not hermitian within 1e-10")
+        mat = ensure_matrix(self.mat, n, n)
+        if not is_hermitian(mat):
+            raise InvariantError(f"density matrix is not hermitian within {HERMITICITY_TOL}")
         tr = float(mat.trace().real)
         if abs(tr - 1.0) > TRACE_TOL:
             raise InvariantError(f"density matrix trace {tr!r} deviates from 1")
@@ -113,7 +130,7 @@ class DensityMatrix:
 
     @classmethod
     def from_matrix(cls, mat) -> "DensityMatrix":
-        mat = linalg.ensure_matrix(mat)
+        mat = ensure_matrix(mat)
         d = int(round(np.sqrt(mat.shape[0])))
         if d * d != mat.shape[0]:
             raise InvariantError(f"matrix side {mat.shape[0]} is not a perfect square")
@@ -152,7 +169,7 @@ class PureDecomposition:
 def validated_decomposition(weights, states, target: DensityMatrix) -> PureDecomposition:
     """Build a PureDecomposition and check it reproduces target within 1e-8."""
     dec = PureDecomposition(weights=weights, states=states)
-    err = linalg.frobenius(dec.reconstruct() - target.mat)
+    err = float(np.linalg.norm(dec.reconstruct() - target.mat))
     if err > RECONSTRUCTION_TOL:
         raise InvariantError(f"decomposition misses the target by {err:.3e} (Frobenius)")
     return PureDecomposition(weights=weights, states=states, reconstruction_error=err)
@@ -160,10 +177,10 @@ def validated_decomposition(weights, states, target: DensityMatrix) -> PureDecom
 
 def spectral_decomposition(rho: DensityMatrix) -> PureDecomposition:
     """Eigendecomposition of rho restricted to weights above 1e-12."""
-    res = linalg.herm_eig(rho.mat)
+    vals, vecs = np.linalg.eigh(rho.mat)
     weights = []
     states = []
-    for w, vec in zip(res.eigenvalues[::-1], res.eigenvectors.T[::-1]):
+    for w, vec in zip(vals[::-1], vecs.T[::-1]):
         if w <= SPECTRAL_WEIGHT_FLOOR:
             continue
         amp = vec.reshape(rho.d, rho.d)
@@ -185,14 +202,14 @@ def hjw_decomposition(rho: DensityMatrix, mix: np.ndarray) -> PureDecomposition:
     """
     spectral = spectral_decomposition(rho)
     r = len(spectral.states)
-    mix = linalg.ensure_matrix(mix)
+    mix = ensure_matrix(mix)
     n_out = mix.shape[0]
     if mix.shape[1] != r:
         raise InvariantError(f"mix has {mix.shape[1]} columns, expected rank {r}")
     cap = ENSEMBLE_FACTOR * r
     if n_out < r or n_out > cap:
         raise InvariantError(f"mix must have between {r} and {cap} rows, got {n_out}")
-    gram_dev = np.abs(linalg.dagger(mix) @ mix - np.eye(r)).max()
+    gram_dev = np.abs(mix.conj().T @ mix - np.eye(r)).max()
     if gram_dev > ISOMETRY_TOL:
         raise InvariantError(f"mix is not an isometry (gram deviation {gram_dev:.3e})")
 
@@ -257,7 +274,7 @@ def random_density_matrix(d: int, rng: np.random.Generator,
     if not 1 <= k <= n:
         raise InvariantError(f"rank must lie in [1, {n}]")
     a = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
-    m = a @ linalg.dagger(a)
+    m = a @ a.conj().T
     m /= m.trace().real
-    m = 0.5 * (m + linalg.dagger(m))
+    m = 0.5 * (m + m.conj().T)
     return DensityMatrix(d=d, mat=m)

@@ -68,6 +68,12 @@ def test_config_rejects_bad_tol(tol):
         OptimizerConfig(tol=tol)
 
 
+@pytest.mark.parametrize("seed", [-1, -2**40])
+def test_config_rejects_negative_seed(seed):
+    with pytest.raises(InvariantError):
+        OptimizerConfig(seed=seed)
+
+
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
 @given(d=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1))
 def test_fraction_invariant_under_local_unitaries(d, seed):

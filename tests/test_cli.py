@@ -286,3 +286,71 @@ def test_dynamics_max_steps_below_one_exit_2(capsys, value):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "must be at least 1" in err and "--max-steps" in err
+
+
+def _exit_code(argv) -> int:
+    """main's return value, or the code of the SystemExit argparse raises."""
+    try:
+        return main(list(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "f.dm", "--seed", "-1"),
+    ("qutrit-example", "--p", "0.2", "--seed", "-2"),
+    ("random", "dm", "--d", "2", "--seed", "-5"),
+])
+def test_negative_seed_exit_2(capsys, argv):
+    assert _exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert "must be at least 0" in err and "--seed" in err
+
+
+def test_negative_seed_env_var_exit_2(capsys, monkeypatch):
+    monkeypatch.setenv("TELEPORT_ENT_SEED", "-3")
+    assert _exit_code(["random", "dm", "--d", "2"]) == 2
+    assert "TELEPORT_ENT_SEED must be non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["pure", "dm"])
+@pytest.mark.parametrize("value", ["1", "0", "-1"])
+def test_random_dimension_below_two_exit_2(tmp_path, capsys, kind, value):
+    path = tmp_path / "r.txt"
+    assert _exit_code(["random", kind, f"--d={value}", "--out", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "must be at least 2" in err and "--d" in err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("kind", ["pure", "dm"])
+def test_random_rank_below_one_exit_2(capsys, kind):
+    assert _exit_code(["random", kind, "--d", "3", "--rank", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "must be at least 1" in err and "--rank" in err
+
+
+def _dm_text(mat) -> str:
+    rows = [" ".join(f"{z.real:.17g} {z.imag:.17g}" for z in row) for row in np.asarray(mat)]
+    return "dm 2\n" + "\n".join(rows) + "\n"
+
+
+_HALF = np.eye(4, dtype=complex) / 4
+_NON_HERMITIAN = _HALF.copy()
+_NON_HERMITIAN[0, 1] = 0.1
+
+
+# each invalid file is stopped by the state types' own checks
+@pytest.mark.parametrize("text", [
+    _dm_text(_HALF).replace("0.25", "nan", 1),
+    _dm_text(_HALF).replace("0.25", "inf", 1),
+    _dm_text(_NON_HERMITIAN),
+    _dm_text(np.diag([0.6, 0.25, 0.25, -0.1])),
+    "pure 2\n1 0 0 0 0 0 1 0\n",
+], ids=["nan", "inf", "non_hermitian", "negative_eigenvalue", "unnormalized_pure"])
+def test_analyze_invalid_state_exit_2(tmp_path, capsys, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2
+    assert "state fails validation" in err and out == ""

@@ -1,4 +1,4 @@
-"""Pure-state measures, algebraic identities, bounds, rank bands.
+"""Pure-state measures, algebraic identities, bounds, rank bands, partial transpose.
 
 Numeric example values below were computed directly from the defining
 symmetric-function formulas (pairwise and triple Schmidt products) with
@@ -36,6 +36,7 @@ from teleport_ent import (
     schmidt,
     singlet_fraction_pure,
 )
+from teleport_ent.measures import partial_transpose
 
 # frozen example values, d=3
 LAM_A = (0.5, 0.5, 0.0)
@@ -155,6 +156,28 @@ def test_negativity_mixed_matches_pure_formula():
         n_direct = negativity_mixed(DensityMatrix.from_pure(st))
         n_formula = negativity_pure(schmidt(st), d)
         assert abs(n_direct - n_formula) < 1e-9
+
+
+def test_partial_transpose_maximally_entangled_eigenvalues():
+    # PT of the d=2 maximally entangled projector has spectrum {1/2, 1/2, 1/2, -1/2}
+    v = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
+    proj = np.outer(v, v.conj())
+    pt = partial_transpose(proj, 2)
+    eigs = np.sort(np.linalg.eigvalsh(pt))
+    np.testing.assert_allclose(eigs, [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
+
+
+def test_partial_transpose_is_involution_and_sides_agree_on_transpose():
+    rng = np.random.default_rng(12)
+    d = 3
+    m = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+    rho = m @ m.conj().T
+    rho /= np.trace(rho)
+    a_twice = partial_transpose(partial_transpose(rho, d), d)
+    np.testing.assert_allclose(a_twice, rho, atol=1e-13)
+    # transposing both subsystems equals the full transpose
+    both = partial_transpose(partial_transpose(rho, d, "A"), d, "B")
+    np.testing.assert_allclose(both, rho.T, atol=1e-13)
 
 
 def test_rank_band_classification():
