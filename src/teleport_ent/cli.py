@@ -39,6 +39,8 @@ from .states import (
 )
 
 ENV_SEED = "TELEPORT_ENT_SEED"
+# random --d ceiling: a d = 32 density matrix is 1024 x 1024, 16 MB of complex entries
+RANDOM_MAX_D = 32
 
 
 def _default_seed() -> int:
@@ -126,12 +128,14 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _int_at_least(lo: int):
-    """argparse type: an integer no smaller than lo."""
+def _int_at_least(lo: int, at_most: int | None = None):
+    """argparse type: an integer no smaller than lo (and no larger than at_most)."""
     def parse(text: str) -> int:
         value = int(text)
         if value < lo:
             raise argparse.ArgumentTypeError(f"must be at least {lo}, got {text!r}")
+        if at_most is not None and value > at_most:
+            raise argparse.ArgumentTypeError(f"must be at most {at_most}, got {text!r}")
         return value
     parse.__name__ = "int"  # argparse names the type in "invalid int value" errors
     return parse
@@ -226,12 +230,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="entanglement and teleportation diagnostics for d x d states")
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
-    seed_default = _default_seed()
+    seed_help = f"default: ${ENV_SEED}, else {mixed.DEFAULT_SEED}"
 
     pa = sub.add_parser("analyze", help="measure report for a state file")
     pa.add_argument("state", help="path to a state file (pure or dm)")
     pa.add_argument("--restarts", type=_int_at_least(1), default=8)
-    pa.add_argument("--seed", type=_int_at_least(0), default=seed_default)
+    pa.add_argument("--seed", type=_int_at_least(0), default=None, help=seed_help)
     pa.set_defaults(func=_cmd_analyze)
 
     pb = sub.add_parser("bounds", help="thresholds and band ceilings for a dimension")
@@ -261,14 +265,14 @@ def build_parser() -> argparse.ArgumentParser:
     pq = sub.add_parser("qutrit-example", help="built-in two-qutrit family")
     pq.add_argument("--p", type=float, required=True, help="family parameter in [0, 1/2]")
     pq.add_argument("--restarts", type=_int_at_least(1), default=8)
-    pq.add_argument("--seed", type=_int_at_least(0), default=seed_default)
+    pq.add_argument("--seed", type=_int_at_least(0), default=None, help=seed_help)
     pq.set_defaults(func=_cmd_qutrit_example)
 
     pr = sub.add_parser("random", help="write a seeded random state file")
     pr.add_argument("kind", choices=["pure", "dm"])
-    pr.add_argument("--d", type=_int_at_least(2), required=True)
+    pr.add_argument("--d", type=_int_at_least(2, at_most=RANDOM_MAX_D), required=True)
     pr.add_argument("--rank", type=_int_at_least(1), default=None)
-    pr.add_argument("--seed", type=_int_at_least(0), default=seed_default)
+    pr.add_argument("--seed", type=_int_at_least(0), default=None, help=seed_help)
     pr.add_argument("--out", default=None)
     pr.set_defaults(func=_cmd_random)
     return p
@@ -277,6 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if "seed" in args and args.seed is None:
+            args.seed = _default_seed()  # only the subcommands that take a seed read it
         return args.func(args)
     except StateParseError as exc:
         sys.stderr.write(f"input error: {exc}\n")

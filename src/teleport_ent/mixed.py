@@ -14,6 +14,12 @@ Two search engines live here:
   the members with the same formulas (`_RoofObjective.terms`); the
   certificate adds only the rank-3 cap of e_d2 / e_d3 at d >= 4.
 
+Both run their restarts as one stack, (R, d, d) unitaries or (R, n, r)
+isometries, so one numpy call serves every restart.  A restart leaves the
+stack when it stops, and each takes exactly the steps it takes alone: every
+stacked reduction (`_re_dots`, the row sums of member terms, the stacked
+SVDs and products) repeats the bits of its one-restart form.
+
 For two qubits the singlet fraction also has a closed form (largest
 eigenvalue of the real part of rho expressed in a phase-fixed maximally
 entangled basis), used both as an oracle and to cap the iterative value.
@@ -85,9 +91,17 @@ def _polar(m: np.ndarray) -> np.ndarray:
     return w @ xh
 
 
-def _fraction_of_unitary(rho_mat: np.ndarray, u: np.ndarray, d: int) -> float:
-    v = u.reshape(-1) / math.sqrt(d)
-    return float(np.real(np.vdot(v, rho_mat @ v)))
+def _re_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Re vdot(x[i], y[i]) for each layer of two stacks, as one stacked matmul
+    that gives the same bits as np.vdot on each layer."""
+    k = len(x)
+    return (x.conj().reshape(k, 1, -1) @ y.reshape(k, -1, 1)).real.reshape(k)
+
+
+def _fractions(rho_mat: np.ndarray, u: np.ndarray, d: int) -> np.ndarray:
+    """Singlet fraction at each unitary of the (k, d, d) stack u."""
+    v = u.reshape(len(u), -1) / math.sqrt(d)
+    return _re_dots(v, rho_mat @ v[:, :, None])
 
 
 def _top_eigvec_warm_start(rho: DensityMatrix) -> np.ndarray:
@@ -96,27 +110,37 @@ def _top_eigvec_warm_start(rho: DensityMatrix) -> np.ndarray:
     return _polar(vecs[:, -1].reshape(rho.d, rho.d))
 
 
-def _ascend_once(rho_mat: np.ndarray, d: int, u0: np.ndarray,
-                 cfg: OptimizerConfig) -> tuple[float, np.ndarray, bool, int]:
-    """Polar fixed point U <- polar(G), G = reshape(rho vec U).
+def _ascend(rho_mat: np.ndarray, d: int, u: np.ndarray,
+            cfg: OptimizerConfig) -> list[tuple[float, np.ndarray, bool, int]]:
+    """Polar fixed point U <- polar(G), G = reshape(rho vec U), from each start
+    of the (R, d, d) stack u: (fraction, unitary, converged, iterations) per start.
 
     f(U) = vec(U)^dagger rho vec(U) / d = Re tr(U^dagger G) / d is convex, so
     f(V) >= (2 Re tr(V^dagger G) - d f(U)) / d.  The polar factor maximizes this
     bound over U(d), so f never decreases; the bound's possible gain,
-    2 (sum of G's singular values / d - f), stops the loop.
+    2 (sum of G's singular values / d - f), stops a restart.  All restarts
+    advance as one stack, and a restart leaves it when it stops, so each takes
+    exactly the iterations it takes alone.
     """
-    u = u0
-    f = _fraction_of_unitary(rho_mat, u, d)
+    f = _fractions(rho_mat, u, d)
+    end_f, end_u = f.copy(), u.copy()
+    converged = np.zeros(len(u), dtype=bool)
+    iters = np.full(len(u), cfg.max_iters)
+    live = np.arange(len(u))
     for it in range(1, cfg.max_iters + 1):
-        g = (rho_mat @ u.reshape(-1)).reshape(d, d)
+        g = (rho_mat @ u.reshape(len(u), -1, 1)).reshape(u.shape)
         nxt = _polar(g)
-        if 2.0 * (float(np.real(np.vdot(nxt, g))) / d - f) <= cfg.tol:
-            return f, u, True, it
-        f_nxt = _fraction_of_unitary(rho_mat, nxt, d)
-        if f_nxt <= f:
-            return f, u, True, it
+        f_nxt = _fractions(rho_mat, nxt, d)
+        stop = (2.0 * (_re_dots(nxt, g) / d - f) <= cfg.tol) | (f_nxt <= f)
+        if stop.any():
+            idx = live[stop]
+            end_f[idx], end_u[idx], converged[idx], iters[idx] = f[stop], u[stop], True, it
+            live, nxt, f_nxt = live[~stop], nxt[~stop], f_nxt[~stop]
         u, f = nxt, f_nxt
-    return f, u, False, cfg.max_iters
+        if not live.size:
+            break
+    end_f[live], end_u[live] = f, u
+    return list(zip(end_f.tolist(), end_u, converged.tolist(), iters.tolist()))
 
 
 # Columns are a phase-fixed basis of maximally entangled 2-qubit states;
@@ -160,17 +184,11 @@ def singlet_fraction_mixed(rho: DensityMatrix, cfg: OptimizerConfig | None = Non
     cfg = cfg or OptimizerConfig()
     d = rho.d
     rho_mat = np.asarray(rho.mat)
-    best = None
-    for idx in range(cfg.restarts):
-        if idx == 0:
-            u0 = _top_eigvec_warm_start(rho)
-        elif idx == 1:
-            u0 = np.eye(d, dtype=np.complex128)
-        else:
-            u0 = haar_unitary(d, np.random.default_rng(cfg.seed ^ idx))
-        run = _ascend_once(rho_mat, d, u0, cfg)
-        if best is None or run[0] > best[0]:
-            best = run
+    starts = [_top_eigvec_warm_start(rho), np.eye(d, dtype=np.complex128)]
+    starts += [haar_unitary(d, np.random.default_rng(cfg.seed ^ idx))
+               for idx in range(2, cfg.restarts)]
+    runs = _ascend(rho_mat, d, np.array(starts[:cfg.restarts]), cfg)
+    best = max(runs, key=lambda run: run[0])
     best_val, best_u, best_conv, best_iters = best
     search_val = best_val
     if d == 2:
@@ -284,67 +302,108 @@ _MIN_STEP = 1e-12
 
 
 def _tangent(v: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Projection of g onto the tangent space of the Stiefel manifold at v."""
-    h = v.conj().T @ g
-    return g - v @ (0.5 * (h + h.conj().T))
+    """Projection of each layer of g onto the tangent space of the Stiefel
+    manifold at the matching layer of the stack v."""
+    h = v.conj().swapaxes(-1, -2) @ g
+    return g - v @ (0.5 * (h + h.conj().swapaxes(-1, -2)))
 
 
 def _value_grad(obj: _RoofObjective, comps: np.ndarray, v: np.ndarray,
-                mu: float) -> tuple[float, np.ndarray]:
-    """Objective at the isometry v and its Riemannian gradient."""
+                mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """Objective at each isometry of the (k, n, r) stack v and its Riemannian gradient."""
+    k, n, _ = v.shape
     vals, grads = obj.terms((v @ comps).reshape(-1, obj.d, obj.d), mu)
-    return float(vals.sum()), _tangent(v, grads.reshape(len(vals), -1) @ comps.conj().T)
+    return vals.reshape(k, n).sum(axis=1), _tangent(v, grads.reshape(k, n, -1) @ comps.conj().T)
+
+
+def _slope(grad: np.ndarray, direction: np.ndarray) -> np.ndarray:
+    """Slope of each restart along its direction; a direction that does not
+    descend is reset, in place, to the negative gradient."""
+    slope = _re_dots(grad, direction)
+    flat = slope >= 0.0
+    if flat.any():
+        direction[flat] = -grad[flat]
+        slope[flat] = -_re_dots(grad[flat], grad[flat])
+    return slope
 
 
 def _cg_stage(obj: _RoofObjective, comps: np.ndarray, v: np.ndarray, mu: float,
-              max_steps: int, tol: float) -> tuple[np.ndarray, bool, int]:
+              budget: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Polak-Ribiere+ conjugate gradients with Armijo backtracking, so the
-    objective never rises.  Converged when two successive steps each lower it
-    by less than tol * max(1, value) (one short step after backtracking at a
-    kink of a member term says little), or when no step lowers it."""
+    objective never rises, from each isometry of the (R, n, r) stack v with
+    its own step budget.  A restart has converged when two successive steps
+    each lower it by less than tol * max(1, value) (one short step after
+    backtracking at a kink of a member term says little), or when no step
+    lowers it.  Every restart keeps its own step length t and stall flag and
+    leaves the stack when it stops, so it takes exactly the steps it takes
+    alone.  Returns the end points, converged flags and steps used."""
+    end, converged, used = v.copy(), np.zeros(len(v), dtype=bool), budget.copy()
+    live = np.flatnonzero(budget > 0)
+    if not live.size:
+        return end, converged, used
+    v, budget = v[live], budget[live]
     f, grad = _value_grad(obj, comps, v, mu)
     direction = -grad
-    t = 1.0
-    stalled = False
-    for step in range(1, max_steps + 1):
-        slope = float(np.vdot(grad, direction).real)
-        if slope >= 0.0:
-            direction, slope = -grad, -float(np.vdot(grad, grad).real)
-        if slope == 0.0:
-            return v, True, step - 1
-        while True:
-            v_new = _polar(v + t * direction)
-            f_new, grad_new = _value_grad(obj, comps, v_new, mu)
-            if f_new <= f + _ARMIJO * t * slope:
-                break
-            t *= 0.5
-            if t < _MIN_STEP:
-                return v, True, step
+    slope = _slope(grad, direction)
+    t = np.ones(len(live))
+    stalled = np.zeros(len(live), dtype=bool)
+    step = 0
+    done = stop = slope == 0.0
+    while True:
+        if stop.any():
+            idx = live[stop]
+            end[idx], converged[idx], used[idx] = v[stop], done[stop], step
+            keep = ~stop
+            live, budget, v, f, grad, direction, slope, t, stalled = (
+                x[keep] for x in (live, budget, v, f, grad, direction, slope, t, stalled))
+        if not live.size:
+            return end, converged, used
+        step += 1
+        # a restart whose step shrinks below _MIN_STEP keeps v and stops
+        v_new, f_new, grad_new = v.copy(), f.copy(), grad.copy()
+        failed = np.zeros(len(live), dtype=bool)
+        todo = np.arange(len(live))
+        while todo.size:
+            trial = _polar(v[todo] + t[todo, None, None] * direction[todo])
+            f_try, g_try = _value_grad(obj, comps, trial, mu)
+            ok = f_try <= f[todo] + _ARMIJO * t[todo] * slope[todo]
+            hit = todo[ok]
+            v_new[hit], f_new[hit], grad_new[hit] = trial[ok], f_try[ok], g_try[ok]
+            todo = todo[~ok]
+            t[todo] *= 0.5
+            short = t[todo] < _MIN_STEP
+            failed[todo[short]] = True
+            todo = todo[~short]
         # grad_new is tangent at v_new, so projecting the old gradient there
         # would not change its product with grad_new
-        beta = max(0.0, float(np.vdot(grad_new, grad_new - grad).real)
-                   / float(np.vdot(grad, grad).real))
-        direction = -grad_new + beta * _tangent(v_new, direction)
-        small = f - f_new < tol * max(1.0, abs(f_new))
+        beta = _re_dots(grad_new, grad_new - grad) / _re_dots(grad, grad)
+        direction = (-grad_new + np.where(beta > 0.0, beta, 0.0)[:, None, None]
+                     * _tangent(v_new, direction))
+        small = f - f_new < tol * np.maximum(1.0, np.abs(f_new))
         v, f, grad = v_new, f_new, grad_new
-        if small and stalled:
-            return v, True, step
+        slope = _slope(grad, direction)
+        # a zero slope next step ends the descent here, converged
+        done = failed | (small & stalled) | ((slope == 0.0) & (budget > step))
+        stop = done | (budget == step)
         stalled = small
         t *= 2.0
-    return v, False, max_steps
 
 
-def _descend_once(obj: _RoofObjective, comps: np.ndarray, v0: np.ndarray,
-                  cfg: OptimizerConfig) -> tuple[float, np.ndarray, bool, int]:
-    """One restart: (certified value, isometry, converged, descent steps).
-    The start is kept if the certificate ends higher, which rounding in a
+def _descend(obj: _RoofObjective, comps: np.ndarray, v0: np.ndarray,
+             cfg: OptimizerConfig) -> list[tuple[float, np.ndarray, bool, int]]:
+    """Every start of the (R, n, r) stack v0 descended as one stack:
+    (certified value, isometry, converged, descent steps) per restart.
+    A start is kept if the certificate ends higher, which rounding in a
     member term near zero can cause."""
-    v, steps = v0, 0
+    v, steps = v0, np.zeros(len(v0), dtype=int)
     for mu in ((_E3_MU, 0.0) if obj.kind == "e3" else (0.0,)):
         v, converged, used = _cg_stage(obj, comps, v, mu, cfg.max_iters - steps, cfg.tol)
         steps += used
-    val, val0 = obj.of_members(v @ comps), obj.of_members(v0 @ comps)
-    return (val, v, converged, steps) if val <= val0 else (val0, v0, converged, steps)
+    runs = []
+    for vk, vk0, conv, n in zip(v, v0, converged.tolist(), steps.tolist()):
+        val, val0 = obj.of_members(vk @ comps), obj.of_members(vk0 @ comps)
+        runs.append((val, vk, conv, n) if val <= val0 else (val0, vk0, conv, n))
+    return runs
 
 
 def _isometry_from_decomposition(dec: PureDecomposition, spectral: PureDecomposition,
@@ -377,7 +436,7 @@ def _roof_search(rho: DensityMatrix, kind: str, cfg: OptimizerConfig,
                for dec in extra_seeds if len(dec.states) <= n]
     while len(starts) < cfg.restarts:
         starts.append(random_isometry(n, r, np.random.default_rng(cfg.seed ^ len(starts))))
-    runs = [_descend_once(obj, comps, vm0, cfg) for vm0 in starts]
+    runs = _descend(obj, comps, np.array(starts), cfg)
     best_val, best_vm, best_conv, best_steps = min(runs, key=lambda run: run[0])
     if math.isinf(best_val):
         return OptResult(value=None, argument_unitary=None, converged=False,

@@ -354,3 +354,32 @@ def test_analyze_invalid_state_exit_2(tmp_path, capsys, text):
     code, out, err = run(capsys, "analyze", str(path))
     assert code == 2
     assert "state fails validation" in err and out == ""
+
+
+@pytest.mark.parametrize("raw", ["abc", "-3"])
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--d", "3"),
+    ("dynamics", "--t-max", "0.01", "--dt", "1e-3"),
+])
+def test_seedless_commands_ignore_seed_env_var(capsys, monkeypatch, raw, argv):
+    monkeypatch.setenv("TELEPORT_ENT_SEED", raw)
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and out and "TELEPORT_ENT_SEED" not in err
+
+
+def test_bad_seed_env_var_is_unused_when_seed_given(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("TELEPORT_ENT_SEED", "abc")
+    code, out, _ = run(capsys, "random", "pure", "--d", "2", "--seed", "4")
+    assert code == 0 and "seed=4" in out
+    assert _exit_code(["random", "pure", "--d", "2"]) == 2
+    assert "TELEPORT_ENT_SEED must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["pure", "dm"])
+@pytest.mark.parametrize("value", ["300", "100000"])
+def test_random_dimension_above_ceiling_exit_2(tmp_path, capsys, kind, value):
+    path = tmp_path / "r.txt"
+    assert _exit_code(["random", kind, f"--d={value}", "--out", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "must be at most 32" in err and "--d" in err
+    assert not path.exists()
