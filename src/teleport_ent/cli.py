@@ -41,6 +41,10 @@ from .states import (
 ENV_SEED = "TELEPORT_ENT_SEED"
 # random --d ceiling: a d = 32 density matrix is 1024 x 1024, 16 MB of complex entries
 RANDOM_MAX_D = 32
+# dynamics ceilings, checked before anything is allocated: a trajectory keeps
+# six float columns per step, and the time axis a row per grid point
+DYNAMICS_MAX_STEPS = 200_000
+SWEEP_MAX_POINTS = 10_000
 
 
 def _default_seed() -> int:
@@ -66,6 +70,8 @@ def _parse_grid(text: str) -> np.ndarray:
         raise StateParseError(f"grid {text!r} must look like LO:HI:N") from None
     if n < 1:
         raise StateParseError("grid point count must be at least 1")
+    if n > SWEEP_MAX_POINTS:
+        raise StateParseError(f"grid point count must be at most {SWEEP_MAX_POINTS}, got {n}")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise StateParseError(f"grid {text!r} has a non-finite end")
     return np.linspace(lo, hi, n)
@@ -170,7 +176,7 @@ def _cmd_dynamics(args) -> int:
         if not sep:
             raise StateParseError(
                 f"sweep spec {args.sweep!r} is not of the form AXIS=LO:HI:N")
-        rows = dyn.sweep(cfg, axis, _parse_grid(grid_text), jobs=args.jobs).rows
+        rows = dyn.sweep(cfg, axis, _parse_grid(grid_text)).rows
     else:
         traj = dyn.evolve(cfg)
         rows = np.column_stack((traj.t, traj.concurrence, traj.fraction, traj.fidelity,
@@ -253,13 +259,12 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--omega0", type=_finite_float, default=1.0)
     pd.add_argument("--t-max", type=_finite_float, default=5.0)
     pd.add_argument("--dt", type=_finite_float, default=None)
-    pd.add_argument("--max-steps", type=_int_at_least(1), default=dyn.DEFAULT_MAX_STEPS)
+    pd.add_argument("--max-steps", type=_int_at_least(1, at_most=DYNAMICS_MAX_STEPS),
+                    default=dyn.DEFAULT_MAX_STEPS)
     pd.add_argument("--state", default=None, help="initial state file (d=2)")
     pd.add_argument("--out", default=None, help="CSV path (default stdout)")
     pd.add_argument("--sweep", metavar="AXIS=LO:HI:N",
                     help=f"sweep one of {dyn.SWEEP_AXES} and report endpoints")
-    pd.add_argument("--jobs", type=int, default=1,
-                    help="accepted for compatibility; sweeps run in one thread")
     pd.set_defaults(func=_cmd_dynamics)
 
     pq = sub.add_parser("qutrit-example", help="built-in two-qutrit family")

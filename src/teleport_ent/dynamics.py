@@ -19,14 +19,15 @@ are completely positive and positivity of rho is a hard invariant.
 Integration is fixed-step RK4 on the vectorized generator L.  L is
 constant, so one RK4 step is exactly the propagator
 P = sum_{j<=4} (dt L)^j / j!, built once per run; a step is v <- P v
-followed by re-hermitization.  Per-step records carry concurrence, the
-closed-form maximal singlet fraction, teleportation fidelity, trace
-error, and the minimal eigenvalue, computed in one batched call per block
-of steps.  Sweeps over r12 or squeeze_r stack the per-point propagators
-and advance all grid points together; they check positivity at every
-step and evaluate the other diagnostics at the endpoint only.  The
-``jobs`` argument of ``sweep`` is accepted for compatibility and has no
-effect.
+followed by re-hermitization.  One loop serves trajectories and sweeps:
+a trajectory is a sweep of one grid point.  Sweeps over r12 or squeeze_r
+stack the per-point propagators and advance all grid points together.
+Every state of every point is checked for positivity, in time order, in
+one batched call per block of steps.  The other records (concurrence,
+the closed-form maximal singlet fraction, teleportation fidelity and
+trace error) are computed in the same blocks for a trajectory, and at
+the endpoint only for a sweep.  The ``jobs`` argument of ``sweep`` is
+accepted so that existing callers keep working, and has no effect.
 """
 
 from __future__ import annotations
@@ -257,9 +258,8 @@ class Trajectory:
 
 
 def _propagator(lv: np.ndarray, dt: float) -> np.ndarray:
-    """One classical RK4 step of a constant generator, for one (16, 16) or a
-    stack of (..., 16, 16) generators: the degree-4 Taylor polynomial of
-    dt L, in Horner form."""
+    """One classical RK4 step of each constant generator in a (G, 16, 16)
+    stack: the degree-4 Taylor polynomial of dt L, in Horner form."""
     a = dt * lv
     eye = np.eye(lv.shape[-1])
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
@@ -270,28 +270,6 @@ def _propagator(lv: np.ndarray, dt: float) -> np.ndarray:
     if not np.isfinite(p).all():
         raise InvariantError(f"the RK4 step overflows at dt={dt:.6g}; lower dt")
     return p
-
-
-def _step_blocks(p: np.ndarray, v: np.ndarray, steps: int, block: int):
-    """Yield (k0, states) for consecutive blocks of the states after k0,
-    k0 + 1, ... steps of v <- herm(P v), step 0 being v itself.
-
-    v is one vectorized state (16,) under p (16, 16), or a stack (G, 16)
-    under p (G, 16, 16).  ``states`` has shape (n,) + v.shape and is a
-    buffer that the next block overwrites.
-    """
-    buf = np.empty((block,) + v.shape, dtype=np.complex128)
-    buf[0] = v
-    k0, n = 0, 1
-    for k in range(1, steps + 1):
-        w = (p @ v[..., None])[..., 0]
-        v = 0.5 * (w + w[..., _VEC_TRANSPOSE].conj())
-        if n == block:
-            yield k0, buf
-            k0, n = k, 0
-        buf[n] = v
-        n += 1
-    yield k0, buf[:n]
 
 
 def _min_eig(mats: np.ndarray) -> np.ndarray:
@@ -305,30 +283,10 @@ def _min_eig(mats: np.ndarray) -> np.ndarray:
     return out
 
 
-def _require_positive(min_eig: np.ndarray, t: np.ndarray, axis: str = "",
-                      points: np.ndarray | None = None) -> None:
-    """Abort at the first entry of a (steps,) or (steps, points) array of
-    minimal eigenvalues that is below MIN_EIG_ABORT or non-finite; t holds
-    the steps' times and points the grid values along a sweep axis."""
-    bad = np.flatnonzero(~(min_eig >= MIN_EIG_ABORT))
-    if bad.size == 0:
-        return
-    idx = np.unravel_index(bad[0], min_eig.shape)
-    meig = min_eig[idx]
-    detail = f"min eigenvalue {meig:.3e}" if np.isfinite(meig) else "non-finite entries"
-    at = f" at {axis}={points[idx[1]]:.6g}" if axis else ""
-    raise InvariantError(f"state lost positivity at t={t[idx[0]]:.6g}{at} ({detail})")
-
-
-def _diagnostics(mats: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
+def _diagnostics(mats: np.ndarray, min_eig: np.ndarray) -> tuple[np.ndarray, ...]:
     """Concurrence, fraction, fidelity, trace error and minimal eigenvalue of
-    each state in an (n, 4, 4) stack at times t, one batched call per column.
-
-    Aborts at the first state that is non-finite or lost positivity, before
-    any other diagnostic sees it.
-    """
-    min_eig = _min_eig(mats)
-    _require_positive(min_eig, t)
+    each state in an (n, 4, 4) stack whose minimal eigenvalues are min_eig,
+    one batched call per column."""
     conc = measures.concurrence_2qubit_stack(mats)
     frac = mixed.fef_2qubit_stack(mats)
     fid = measures.fidelity_from_fraction(frac, 2)
@@ -345,23 +303,60 @@ def _step_count(cfg: DynamicsConfig) -> int:
     return max(1, int(round(ratio)))
 
 
+def _integrate(cfg: DynamicsConfig, axis: str = "", points: np.ndarray | None = None
+               ) -> np.ndarray:
+    """Fixed-step RK4 from the initial state of cfg, for G grid points at once.
+
+    Without points, G = 1 and the result is the (5, steps + 1) diagnostics
+    of every step, t = 0 included.  With points, cfg's ``axis`` takes each
+    grid value and the result is the (5, G) diagnostics at the last step.
+    Every state of every point is checked in time order, and the run aborts
+    at the first one that is non-finite or below MIN_EIG_ABORT, before any
+    other diagnostic sees it.
+    """
+    dt = cfg.resolved_dt()
+    steps = _step_count(cfg)
+    cfgs = [cfg] if points is None else [_cfg_at(cfg, axis, float(x)) for x in points]
+    p = _propagator(np.stack([_liouvillian(c) for c in cfgs]), dt)
+    g = len(cfgs)
+    v = np.tile(cfg.resolved_initial().mat.reshape(-1).astype(np.complex128), (g, 1))
+    block = _BLOCK_ROWS // g
+    buf = np.empty((block, g, 16), dtype=np.complex128)
+    cols = np.empty((5, steps + 1)) if points is None else None
+    with np.errstate(over="ignore", invalid="ignore"):  # blow-ups abort below
+        for k0 in range(0, steps + 1, block):
+            n = min(block, steps + 1 - k0)
+            for k in range(k0, k0 + n):
+                if k:
+                    w = (p @ v[..., None])[..., 0]
+                    v = 0.5 * (w + w[..., _VEC_TRANSPOSE].conj())
+                buf[k - k0] = v
+            mats = buf[:n].reshape(n, g, 4, 4)
+            min_eig = _min_eig(mats)
+            bad = np.flatnonzero(~(min_eig >= MIN_EIG_ABORT))
+            if bad.size:
+                i, j = np.unravel_index(bad[0], min_eig.shape)
+                meig = min_eig[i, j]
+                detail = (f"min eigenvalue {meig:.3e}" if np.isfinite(meig)
+                          else "non-finite entries")
+                at = f" at {axis}={points[j]:.6g}" if points is not None else ""
+                raise InvariantError(
+                    f"state lost positivity at t={(k0 + i) * dt:.6g}{at} ({detail})")
+            if points is None:
+                cols[:, k0:k0 + n] = _diagnostics(mats[:, 0], min_eig[:, 0])
+    if points is None:
+        return cols
+    return np.array(_diagnostics(mats[-1], min_eig[-1]))
+
+
 def evolve(cfg: DynamicsConfig) -> Trajectory:
     """Fixed-step RK4 trajectory with per-step records, t = 0 included.
 
     Aborts with InvariantError if the state leaves positivity by more
     than MIN_EIG_ABORT or the step budget is exceeded.
     """
-    dt = cfg.resolved_dt()
-    steps = _step_count(cfg)
-    p = _propagator(_liouvillian(cfg), dt)
-    v = cfg.resolved_initial().mat.reshape(-1).astype(np.complex128)
-    t_out = np.arange(steps + 1) * dt
-    cols = np.empty((5, steps + 1))
-    with np.errstate(over="ignore", invalid="ignore"):  # blow-ups abort below
-        for k0, states in _step_blocks(p, v, steps, _BLOCK_ROWS):
-            n = len(states)
-            cols[:, k0:k0 + n] = _diagnostics(states.reshape(n, 4, 4), t_out[k0:k0 + n])
-    return Trajectory(t_out, *cols)
+    cols = _integrate(cfg)
+    return Trajectory(np.arange(cols.shape[1]) * cfg.resolved_dt(), *cols)
 
 
 def step_doubling_check(cfg: DynamicsConfig) -> float:
@@ -391,10 +386,11 @@ class SweepResult:
 def sweep(cfg: DynamicsConfig, axis: str, grid: np.ndarray, jobs: int = 1) -> SweepResult:
     """Endpoint diagnostics along a parameter grid.
 
-    The time axis samples a single trajectory at the nearest recorded
+    The time axis samples the trajectory of cfg at the nearest recorded
     steps.  The other axes advance the grid points together, up to
     _SWEEP_POINTS at a time, check positivity at every step, and report
-    the t = t_max row.  ``jobs`` is accepted for compatibility and ignored.
+    the t = t_max row.  ``jobs`` is accepted so that existing callers keep
+    working, and has no effect.
     """
     if axis not in SWEEP_AXES:
         raise InvariantError(f"unknown sweep axis {axis!r}; use one of {SWEEP_AXES}")
@@ -407,30 +403,13 @@ def sweep(cfg: DynamicsConfig, axis: str, grid: np.ndarray, jobs: int = 1) -> Sw
         if grid.min() < 0 or grid.max() > cfg.t_max + 1e-12:
             raise InvariantError("time grid must lie within [0, t_max]")
         traj = evolve(cfg)
-        dt = cfg.resolved_dt()
+        # np.rint rounds half to even, like round
+        k = np.clip(np.rint(grid / cfg.resolved_dt()).astype(int), 0, len(traj) - 1)
+        rows = np.column_stack((grid, traj.concurrence[k], traj.fraction[k], traj.fidelity[k],
+                                traj.trace_err[k], traj.min_eig[k])).tolist()
+    else:
         rows = []
-        for t in grid:
-            k = int(round(t / dt))
-            k = min(max(k, 0), len(traj) - 1)
-            row = traj.row(k)
-            rows.append((float(t),) + row[1:])
-        return SweepResult(axis=axis, rows=tuple(rows))
-
-    dt = cfg.resolved_dt()
-    steps = _step_count(cfg)
-    t_all = np.arange(steps + 1) * dt
-    v0 = cfg.resolved_initial().mat.reshape(-1).astype(np.complex128)
-    rows = []
-    for lo in range(0, grid.size, _SWEEP_POINTS):
-        points = grid[lo:lo + _SWEEP_POINTS]
-        g = points.size
-        p = _propagator(np.stack([_liouvillian(_cfg_at(cfg, axis, float(x)))
-                                  for x in points]), dt)
-        with np.errstate(over="ignore", invalid="ignore"):  # blow-ups abort below
-            for k0, states in _step_blocks(p, np.tile(v0, (g, 1)), steps, _BLOCK_ROWS // g):
-                n = len(states)
-                _require_positive(_min_eig(states.reshape(n, g, 4, 4)),
-                                  t_all[k0:k0 + n], axis, points)
-        cols = _diagnostics(states[-1].reshape(g, 4, 4), np.full(g, t_all[-1]))
-        rows.extend(tuple(row) for row in np.column_stack((points,) + cols).tolist())
-    return SweepResult(axis=axis, rows=tuple(rows))
+        for lo in range(0, grid.size, _SWEEP_POINTS):
+            points = grid[lo:lo + _SWEEP_POINTS]
+            rows += np.column_stack((points, *_integrate(cfg, axis, points))).tolist()
+    return SweepResult(axis=axis, rows=tuple(map(tuple, rows)))

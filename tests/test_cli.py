@@ -383,3 +383,30 @@ def test_random_dimension_above_ceiling_exit_2(tmp_path, capsys, kind, value):
     err = capsys.readouterr().err
     assert "must be at most 32" in err and "--d" in err
     assert not path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("--t-max", "1e9", "--dt", "1", "--max-steps", "1000000000"),
+    ("--max-steps", "200001"),
+    ("--sweep", "r12=0.1:2:1000000000", "--t-max", "0.01"),
+    ("--sweep", "time=0:1:100000000", "--t-max", "1"),
+    ("--sweep", "squeeze_r=0:1:10001"),
+])
+def test_dynamics_above_ceiling_exit_2(tmp_path, capsys, argv):
+    path = tmp_path / "d.csv"
+    assert _exit_code(["dynamics", *argv, "--out", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "must be at most" in err and "Traceback" not in err
+    assert not path.exists()
+
+
+def test_dynamics_ceilings_are_accepted(tmp_path, capsys):
+    path = tmp_path / "d.csv"
+    for argv in (("--max-steps", "200000"), ("--sweep", "time=0:0.01:10000")):
+        assert _exit_code(["dynamics", "--t-max", "0.01", *argv, "--out", str(path)]) == 0
+    assert path.read_text().count("\n") == 10001
+
+
+def test_dynamics_has_no_jobs_option(capsys):
+    assert _exit_code(["dynamics", "--t-max", "0.01", "--jobs", "1"]) == 2
+    assert "unrecognized arguments: --jobs" in capsys.readouterr().err

@@ -150,10 +150,13 @@ def test_thermal_sudden_death_in_time():
 def test_sweep_time_axis_matches_trajectory():
     cfg = DynamicsConfig(model=ModelKind.DISSIPATIVE, bath=BathParams(r12=0.5),
                          gamma0=1.0, t_max=1.0, dt=1e-3, max_steps=4096)
-    res = sweep(cfg, "time", np.array([0.0, 0.5, 1.0]))
+    # every step and every half-step tie between two steps
+    grid = np.linspace(0.0, cfg.t_max, 2001)
+    res = sweep(cfg, "time", grid)
     traj = evolve(cfg)
-    assert res.rows[0][1] == traj.concurrence[0]
-    assert res.rows[2][1] == traj.concurrence[-1]
+    assert len(res.rows) == len(grid)
+    for t, row in zip(grid.tolist(), res.rows):
+        assert row == (t,) + traj.row(round(t / cfg.dt))[1:]
 
 
 def test_sweep_axis_validation():
@@ -261,7 +264,7 @@ def test_sweep_rows_match_per_point_evolve(axis, cfg, grid):
         bath = dataclasses.replace(cfg.bath, **{axis: float(x)})
         want = evolve(dataclasses.replace(cfg, bath=bath)).final_row()
         assert row[0] == float(x)
-        assert np.abs(np.array(row[1:]) - np.array(want[1:])).max() <= 1e-12
+        assert row[1:] == want[1:]
 
 
 def test_sweep_aborts_on_one_unstable_point():
