@@ -176,6 +176,8 @@ def _cmd_dynamics(args) -> int:
         if not sep:
             raise StateParseError(
                 f"sweep spec {args.sweep!r} is not of the form AXIS=LO:HI:N")
+        if axis not in dyn.SWEEP_AXES:
+            raise StateParseError(f"unknown sweep axis {axis!r}; use one of {dyn.SWEEP_AXES}")
         rows = dyn.sweep(cfg, axis, _parse_grid(grid_text)).rows
     else:
         traj = dyn.evolve(cfg)

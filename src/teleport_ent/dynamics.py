@@ -16,11 +16,16 @@ Both coefficient matrices are positive semidefinite for every admissible
 bath (|gamma12| <= gamma0 and N(N+1) >= |M|^2), so the generated maps
 are completely positive and positivity of rho is a hard invariant.
 
-Integration is fixed-step RK4 on the vectorized generator L.  L is
-constant, so one RK4 step is exactly the propagator
-P = sum_{j<=4} (dt L)^j / j!, built once per run; a step is v <- P v
-followed by re-hermitization.  One loop serves trajectories and sweeps:
-a trajectory is a sweep of one grid point.  Sweeps over r12 or squeeze_r
+Integration is fixed-step RK4 on the vectorized generator L.  The jump
+operators of each model are fixed, so their dissipator superoperators
+form a constant basis built at import, and L is the Hamiltonian term plus
+that basis contracted with the coefficient matrix.  L is constant, so one
+RK4 step is exactly the propagator P = sum_{j<=4} (dt L)^j / j!, built
+once per run together with its powers P, P^2, ..., P^16.  The states at
+steps k+1 .. k+16 are those powers applied to the state at step k, in one
+stacked product, each re-hermitized; chunks start at step 1 whatever the
+number of grid points.  One loop serves trajectories and sweeps: a
+trajectory is a sweep of one grid point.  Sweeps over r12 or squeeze_r
 stack the per-point propagators and advance all grid points together.
 Every state of every point is checked for positivity, in time order, in
 one batched call per block of steps.  The other records (concurrence,
@@ -51,6 +56,9 @@ _SMALL_X = 1e-2
 # states per batched diagnostics call, and grid points advanced together
 _BLOCK_ROWS = 1024
 _SWEEP_POINTS = 64
+# steps advanced per stacked product, P, P^2, ..., P^_CHUNK applied at once;
+# the (_CHUNK, 64, 16, 16) complex power stack of a full sweep group is 4 MiB
+_CHUNK = 16
 
 _SM = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)  # lowers |1> -> |0>
 _SP = _SM.conj().T
@@ -63,6 +71,34 @@ _VEC_TRANSPOSE = np.arange(16).reshape(4, 4).T.reshape(-1)
 class ModelKind(enum.Enum):
     DISSIPATIVE = "dissipative"
     QND = "qnd"
+
+
+_S1M, _S2M = np.kron(_SM, _I2), np.kron(_I2, _SM)
+_S1P, _S2P = np.kron(_SP, _I2), np.kron(_I2, _SP)
+# dipole-dipole exchange; the dissipative Hamiltonian is Omega12 times this
+_EXCHANGE = _S1P @ _S2M + _S1M @ _S2P
+# each model's jumps, in the order of its coefficient matrix
+_JUMPS = {
+    ModelKind.DISSIPATIVE: (_S1M, _S2M, _S1P, _S2P),
+    ModelKind.QND: (np.kron(_SZ, _I2), np.kron(_I2, _SZ)),
+}
+
+
+def _dissipator_basis(jumps: tuple[np.ndarray, ...]) -> np.ndarray:
+    """(n, n, 16, 16) stack whose (a, b) entry is the row-major vectorized
+    superoperator of rho -> J_b rho J_a^dag - {J_a^dag J_b, rho} / 2."""
+    eye = np.eye(4)
+    basis = np.empty((len(jumps), len(jumps), 16, 16), dtype=np.complex128)
+    for a, ja in enumerate(jumps):
+        for b, jb in enumerate(jumps):
+            g = ja.conj().T @ jb
+            basis[a, b] = (np.kron(jb, ja.conj())
+                           - 0.5 * np.kron(g, eye) - 0.5 * np.kron(eye, g.T))
+    return basis
+
+
+# L's dissipator is the coefficient matrix contracted with this basis
+_DISSIPATORS = {kind: _dissipator_basis(jumps) for kind, jumps in _JUMPS.items()}
 
 
 @dataclass(frozen=True)
@@ -191,41 +227,29 @@ def collective_coefficients(bath: BathParams, gamma0: float) -> tuple[float, flo
     return gamma0 * coupling_kernel(x), gamma0 * shift_kernel(x)
 
 
-def _gks_parts(cfg: DynamicsConfig) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Hamiltonian, coefficient matrix and jump list for the chosen model."""
+def _gks_parts(cfg: DynamicsConfig
+               ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """Hamiltonian, coefficient matrix and jumps for the chosen model."""
     n_eff, m_eff = squeezed_occupations(cfg.bath, cfg.omega0)
+    jumps = _JUMPS[cfg.model]
     if cfg.model is ModelKind.QND:
         kappa = coupling_kernel(cfg.bath.r12)
         scale = 0.25 * cfg.gamma0 * (2.0 * n_eff + 1.0)
         c = scale * np.array([[1.0, kappa], [kappa, 1.0]], dtype=np.complex128)
-        jumps = [np.kron(_SZ, _I2), np.kron(_I2, _SZ)]
         return np.zeros((4, 4), dtype=np.complex128), c, jumps
     gamma12, omega12 = collective_coefficients(cfg.bath, cfg.gamma0)
     g = np.array([[cfg.gamma0, gamma12], [gamma12, cfg.gamma0]])
     k = np.array([[n_eff + 1.0, -m_eff], [-np.conj(m_eff), n_eff]])
-    c = np.kron(k, g)
-    s1m, s2m = np.kron(_SM, _I2), np.kron(_I2, _SM)
-    s1p, s2p = np.kron(_SP, _I2), np.kron(_I2, _SP)
-    h = omega12 * (s1p @ s2m + s1m @ s2p)
-    jumps = [s1m, s2m, s1p, s2p]
-    return h, c, jumps
+    return omega12 * _EXCHANGE, np.kron(k, g), jumps
 
 
 def _liouvillian(cfg: DynamicsConfig) -> np.ndarray:
     """Matrix L with vec(drho/dt) = L vec(rho), row-major vectorization."""
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        h, c, jumps = _gks_parts(cfg)
-        eye = np.eye(4, dtype=np.complex128)
-        lv = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-        for a in range(len(jumps)):
-            for b in range(len(jumps)):
-                coef = c[a, b]
-                if coef == 0:
-                    continue
-                ad = jumps[a].conj().T
-                g = ad @ jumps[b]
-                lv = lv + coef * (np.kron(jumps[b], ad.T)
-                                  - 0.5 * np.kron(g, eye) - 0.5 * np.kron(eye, g.T))
+        h, c, _ = _gks_parts(cfg)
+        eye = np.eye(4)
+        lv = (-1j * (np.kron(h, eye) - np.kron(eye, h.T))
+              + np.tensordot(c, _DISSIPATORS[cfg.model], 2))
     if not np.isfinite(lv).all():
         raise InvariantError("the generator overflows at these bath parameters")
     return lv
@@ -270,6 +294,21 @@ def _propagator(lv: np.ndarray, dt: float) -> np.ndarray:
     if not np.isfinite(p).all():
         raise InvariantError(f"the RK4 step overflows at dt={dt:.6g}; lower dt")
     return p
+
+
+def _powers(p: np.ndarray) -> np.ndarray:
+    """(_CHUNK, G, 16, 16) stack P, P^2, ..., P^_CHUNK of a (G, 16, 16)
+    propagator stack, cut before the first power with a non-finite entry:
+    a state with no component along an overflowing direction then advances
+    exactly as far as it would step by step."""
+    q = np.empty((_CHUNK,) + p.shape, dtype=np.complex128)
+    q[0] = p
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for j in range(1, _CHUNK):
+            np.matmul(p, q[j - 1], out=q[j])
+            if not np.isfinite(q[j]).all():
+                return q[:j]
+    return q
 
 
 def _min_eig(mats: np.ndarray) -> np.ndarray:
@@ -317,20 +356,26 @@ def _integrate(cfg: DynamicsConfig, axis: str = "", points: np.ndarray | None = 
     dt = cfg.resolved_dt()
     steps = _step_count(cfg)
     cfgs = [cfg] if points is None else [_cfg_at(cfg, axis, float(x)) for x in points]
-    p = _propagator(np.stack([_liouvillian(c) for c in cfgs]), dt)
-    g = len(cfgs)
+    q = _powers(_propagator(np.stack([_liouvillian(c) for c in cfgs]), dt))
+    chunk, g = q.shape[:2]
     v = np.tile(cfg.resolved_initial().mat.reshape(-1).astype(np.complex128), (g, 1))
     block = _BLOCK_ROWS // g
-    buf = np.empty((block, g, 16), dtype=np.complex128)
+    # a block closes at the first chunk that fills it, so it holds < block + chunk rows
+    buf = np.empty((block + chunk, g, 16), dtype=np.complex128)
+    buf[0] = v
+    n = 1  # rows in buf; buf[0] is the state at step k0
+    k0 = 0
     cols = np.empty((5, steps + 1)) if points is None else None
     with np.errstate(over="ignore", invalid="ignore"):  # blow-ups abort below
-        for k0 in range(0, steps + 1, block):
-            n = min(block, steps + 1 - k0)
-            for k in range(k0, k0 + n):
-                if k:
-                    w = (p @ v[..., None])[..., 0]
-                    v = 0.5 * (w + w[..., _VEC_TRANSPOSE].conj())
-                buf[k - k0] = v
+        for k in range(1, steps + 1, chunk):
+            m = min(chunk, steps + 1 - k)
+            w = (q[:m] @ v[..., None])[..., 0]  # the states at steps k .. k + m - 1
+            w = 0.5 * (w + w[..., _VEC_TRANSPOSE].conj())
+            buf[n:n + m] = w
+            n += m
+            v = w[-1]
+            if n < block and k + m <= steps:
+                continue
             mats = buf[:n].reshape(n, g, 4, 4)
             min_eig = _min_eig(mats)
             bad = np.flatnonzero(~(min_eig >= MIN_EIG_ABORT))
@@ -344,6 +389,8 @@ def _integrate(cfg: DynamicsConfig, axis: str = "", points: np.ndarray | None = 
                     f"state lost positivity at t={(k0 + i) * dt:.6g}{at} ({detail})")
             if points is None:
                 cols[:, k0:k0 + n] = _diagnostics(mats[:, 0], min_eig[:, 0])
+            k0 += n
+            n = 0
     if points is None:
         return cols
     return np.array(_diagnostics(mats[-1], min_eig[-1]))

@@ -160,6 +160,28 @@ def test_dynamics_sweep_grid_parse_error(capsys):
     assert code == 2
 
 
+def test_dynamics_unknown_sweep_axis_exit_2(tmp_path, capsys):
+    path = tmp_path / "d.csv"
+    code, out, err = run(capsys, "dynamics", "--t-max", "0.01", "--sweep", "volume=0:1:3",
+                         "--out", str(path))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "unknown sweep axis 'volume'" in err
+    assert not path.exists()
+
+
+# well-formed specs whose values the model rejects stay invariant failures
+@pytest.mark.parametrize("argv", [
+    ("--sweep", "r12=-1:1:3"),
+    ("--sweep", "time=0:5:3", "--t-max", "1"),
+])
+def test_dynamics_out_of_range_sweep_exit_3(tmp_path, capsys, argv):
+    path = tmp_path / "d.csv"
+    code, out, err = run(capsys, "dynamics", "--t-max", "0.01", *argv, "--out", str(path))
+    assert code == 3 and out == ""
+    assert "invariant violated" in err
+    assert not path.exists()
+
+
 def test_determinism_of_cli_outputs(tmp_path, capsys):
     # same seed, same bytes, for both a report and a CSV
     outs = []

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -71,6 +72,29 @@ def test_rhs_traceless_and_hermitian():
     dot_q = lindblad_rhs(rho.mat, cfg_q)
     assert abs(np.trace(dot_q)) < 1e-12
     assert np.abs(dot_q - dot_q.conj().T).max() < 1e-12
+
+
+@pytest.mark.parametrize("model", list(ModelKind))
+@pytest.mark.parametrize("bath", [
+    BathParams(temperature=1.0, squeeze_r=0.2, squeeze_phi=0.7, r12=0.3),
+    BathParams(temperature=0.5, squeeze_r=0.4, squeeze_phi=-2.1, r12=1.0),
+    BathParams(temperature=2.0, squeeze_r=0.1, squeeze_phi=3.0, r12=2.5),
+])
+def test_rhs_matches_operator_form(model, bath):
+    """L vec(rho) against -i[H, rho] + sum_ab c_ab (J_b rho J_a^dag
+    - {J_a^dag J_b, rho}/2), with no vectorization involved."""
+    cfg = DynamicsConfig(model=model, bath=bath, gamma0=0.5, t_max=1.0)
+    h, c, jumps = dyn._gks_parts(cfg)
+    rng = np.random.default_rng(41)
+    for _ in range(3):
+        x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        rho = x + x.conj().T
+        want = -1j * (h @ rho - rho @ h)
+        for a, ja in enumerate(jumps):
+            for b, jb in enumerate(jumps):
+                g = ja.conj().T @ jb
+                want = want + c[a, b] * (jb @ rho @ ja.conj().T - 0.5 * (g @ rho + rho @ g))
+        assert np.abs(lindblad_rhs(rho, cfg) - want).max() <= 1e-13
 
 
 def test_qnd_conserves_populations():
@@ -239,6 +263,53 @@ def test_evolve_matches_per_step_rk4(name):
                            traj.trace_err, traj.min_eig])
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("steps", [1, dyn._CHUNK - 1, dyn._CHUNK, dyn._CHUNK + 1,
+                                   2 * dyn._CHUNK + 1, dyn._BLOCK_ROWS + 1])
+@pytest.mark.parametrize("name", sorted(CRITERION_7_SHORT))
+def test_evolve_matches_per_step_rk4_at_chunk_edges(name, steps):
+    cfg = CRITERION_7_SHORT[name]
+    cfg = dataclasses.replace(cfg, t_max=steps * cfg.dt)
+    want = _rk4_loop_oracle(cfg)
+    traj = evolve(cfg)
+    got = np.column_stack([traj.t, traj.concurrence, traj.fraction, traj.fidelity,
+                           traj.trace_err, traj.min_eig])
+    assert got.shape == (steps + 1, 6) == want.shape
+    assert np.abs(got - want).max() <= 1e-12
+
+
+def test_unstable_abort_time_matches_per_step_loop():
+    # dt * Omega12 is about 300: the state leaves positivity inside the first chunk
+    cfg = DynamicsConfig(bath=BathParams(r12=0.05), t_max=5.0, dt=0.05)
+    p = dyn._propagator(dyn._liouvillian(cfg)[None], cfg.dt)[0]
+    v = cfg.resolved_initial().mat.reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, 101):
+            m = (p @ v).reshape(4, 4)
+            m = 0.5 * (m + m.conj().T)
+            v = m.reshape(-1)
+            if not (np.isfinite(m).all() and np.linalg.eigvalsh(m)[0] >= dyn.MIN_EIG_ABORT):
+                break
+    assert k % dyn._CHUNK not in (0, 1)
+    at = re.escape(f"lost positivity at t={k * cfg.dt:.6g} (")
+    with pytest.raises(InvariantError, match=at):
+        evolve(cfg)
+
+
+def test_fixed_point_survives_overflowing_step_powers():
+    # at dt = 100 the step P has entries near 1e21 and P^16 overflows, but the
+    # vacuum ground state is an exact fixed point of P, as it is step by step
+    ground = np.zeros((4, 4))
+    ground[0, 0] = 1.0
+    cfg = DynamicsConfig(bath=BathParams(r12=0.05), t_max=4000.0, dt=100.0,
+                         initial=DensityMatrix.from_matrix(ground))
+    p = dyn._propagator(dyn._liouvillian(cfg)[None], cfg.dt)
+    assert 1 < len(dyn._powers(p)) < dyn._CHUNK
+    traj = evolve(cfg)
+    assert len(traj) == 41
+    assert traj.min_eig.min() == 0.0 and traj.trace_err.max() == 0.0
+    assert traj.concurrence.max() == 0.0
 
 
 @pytest.mark.parametrize("axis,cfg,grid", [
