@@ -322,6 +322,19 @@ def _min_eig(mats: np.ndarray) -> np.ndarray:
     return out
 
 
+def _abort_detail(mat: np.ndarray, min_eig: float) -> str:
+    """Why a state failed the positivity scan.  No state within MIN_EIG_ABORT
+    of a density matrix has an entry above 1, and the eigenvalue of one that
+    does is rounding noise of its entries, so such a state reports its
+    largest entry instead."""
+    if not np.isfinite(min_eig):
+        return "non-finite entries"
+    big = np.abs(mat).max()
+    if big > 1.0:
+        return f"diverged, largest |entry| {big:.3e}"
+    return f"min eigenvalue {min_eig:.3e}"
+
+
 def _diagnostics(mats: np.ndarray, min_eig: np.ndarray) -> tuple[np.ndarray, ...]:
     """Concurrence, fraction, fidelity, trace error and minimal eigenvalue of
     each state in an (n, 4, 4) stack whose minimal eigenvalues are min_eig,
@@ -381,12 +394,9 @@ def _integrate(cfg: DynamicsConfig, axis: str = "", points: np.ndarray | None = 
             bad = np.flatnonzero(~(min_eig >= MIN_EIG_ABORT))
             if bad.size:
                 i, j = np.unravel_index(bad[0], min_eig.shape)
-                meig = min_eig[i, j]
-                detail = (f"min eigenvalue {meig:.3e}" if np.isfinite(meig)
-                          else "non-finite entries")
                 at = f" at {axis}={points[j]:.6g}" if points is not None else ""
-                raise InvariantError(
-                    f"state lost positivity at t={(k0 + i) * dt:.6g}{at} ({detail})")
+                raise InvariantError(f"state lost positivity at t={(k0 + i) * dt:.6g}{at} "
+                                     f"({_abort_detail(mats[i, j], min_eig[i, j])})")
             if points is None:
                 cols[:, k0:k0 + n] = _diagnostics(mats[:, 0], min_eig[:, 0])
             k0 += n

@@ -13,6 +13,9 @@ Two search engines live here:
   is an upper bound on the roof.  The descent and this certificate evaluate
   the members with the same formulas (`_RoofObjective.terms`); the
   certificate adds only the rank-3 cap of e_d2 / e_d3 at d >= 4.
+  At d = 2 every such measure is 2|det A| per member, whose roof is
+  Wootters' concurrence, so the decomposition is Wootters' optimal ensemble,
+  built in closed form, and the descent does not run.
 
 Both run their restarts as one stack, (R, d, d) unitaries or (R, n, r)
 isometries, so one numpy call serves every restart.  A restart leaves the
@@ -27,6 +30,7 @@ entangled basis), used both as an oracle and to cap the iterative value.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -415,6 +419,79 @@ def _isometry_from_decomposition(dec: PureDecomposition, spectral: PureDecomposi
     return _polar(raw)
 
 
+def _roof_starts(spectral: PureDecomposition, cfg: OptimizerConfig,
+                 extra_seeds: tuple[PureDecomposition, ...] = ()) -> np.ndarray:
+    """The (R, ENSEMBLE_FACTOR r, r) stack of descent starts: the spectral
+    decomposition, the extra seeds that fit, then seeded random isometries.
+    The spectral start's zero rows have zero gradient and stay zero, so it
+    searches r-member ensembles only, by design; it is often the best start
+    for e_d2."""
+    r = len(spectral.states)
+    n = ENSEMBLE_FACTOR * r
+    starts = [np.eye(n, r, dtype=np.complex128)]
+    starts += [_isometry_from_decomposition(dec, spectral, n)
+               for dec in extra_seeds if len(dec.states) <= n]
+    while len(starts) < cfg.restarts:
+        starts.append(random_isometry(n, r, np.random.default_rng(cfg.seed ^ len(starts))))
+    return np.array(starts)
+
+
+# Wootters' real orthogonal mix of four members: every entry squares to 1/4,
+# so four members whose products z_j^T Y z_k form diag(D) mix into four
+# members with z^T Y z = tr(D) / 4 each.
+_WOOTTERS_MIX = 0.5 * np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]])
+
+
+def _closing_phases(s: np.ndarray) -> np.ndarray:
+    """Unit phases e with sum(s * e) = 0, for lengths s1 >= s2 >= s3 >= s4 >= 0
+    with s1 <= s2 + s3 + s4: two triangles (s1, s2, t) and (s3, s4, t) that
+    share a diagonal of length t = max(s1 - s2, s3 - s4)."""
+    s1, s2, s3, s4 = s.tolist()
+    t = max(s1 - s2, s3 - s4)
+
+    def apex(a: float, b: float) -> float:
+        """The angle x with |a + b e^{ix}| = t; any x serves when a b = 0."""
+        if a * b <= 0.0:
+            return math.pi
+        return math.acos(min(1.0, max(-1.0, (t * t - a * a - b * b) / (2.0 * a * b))))
+
+    x, y = apex(s1, s2), apex(s3, s4)
+    turn = (cmath.phase(-(s1 + s2 * cmath.exp(1j * x)))
+            - cmath.phase(s3 + s4 * cmath.exp(1j * y)))
+    return np.exp(1j * np.array([0.0, x, turn, turn + y]))
+
+
+def _wootters_isometry(comps: np.ndarray) -> np.ndarray:
+    """Wootters' optimal two-qubit ensemble (PRL 80, 2245 (1998)) as an
+    (ENSEMBLE_FACTOR r, r) isometry V over the r spectral components comps.
+
+    A member z has 2|det A| = |z^T Y z|, Y = sigma_y x sigma_y, so the member
+    values are the moduli of the diagonal of V B V^T, B = comps Y comps^T.
+    The rows of T with T B T^T = diag(s) (Takagi) come from eigh of the real
+    [[Re B, Im B], [Im B, -Re B]]: an eigenvector (x; y) of an eigenvalue
+    s > 0 gives B conj(x + iy) = s (x + iy), degenerate s included.  A QR
+    completes the directions with s = 0; LAPACK leaves R's diagonal real, so
+    the kept directions change at most by a sign, which keeps T B T^T.
+    Phases turn s into s_j e_j: e = (1, -1, -1, -1) when s1 >= s2 + s3 + s4,
+    a closed polygon otherwise.  The mix then gives four members the value
+    |sum_j s_j e_j| / 4 each, max(0, s1 - s2 - s3 - s4) in all, which is the
+    concurrence; the other rows are zero.
+    """
+    r = len(comps)
+    b = comps @ measures._SYSY @ comps.T
+    w, vecs = np.linalg.eigh(np.block([[b.real, b.imag], [b.imag, -b.real]]))
+    keep = np.flatnonzero(w > WEIGHT_FLOOR)[::-1]
+    t = np.zeros((4, r), dtype=np.complex128)
+    t[:r] = np.linalg.qr(vecs[:r, keep] + 1j * vecs[r:, keep], mode="complete")[0].conj().T
+    s = np.zeros(4)
+    s[:keep.size] = w[keep]
+    e = (np.array([1.0, -1.0, -1.0, -1.0], dtype=np.complex128) if s[0] >= s[1:].sum()
+         else _closing_phases(s))
+    v = np.zeros((ENSEMBLE_FACTOR * r, r), dtype=np.complex128)
+    v[:4] = _WOOTTERS_MIX @ (np.sqrt(e)[:, None] * t)
+    return v
+
+
 def _roof_search(rho: DensityMatrix, kind: str, cfg: OptimizerConfig,
                  extra_seeds: tuple[PureDecomposition, ...] = ()) -> OptResult:
     obj = _RoofObjective(rho.d, kind)
@@ -426,18 +503,13 @@ def _roof_search(rho: DensityMatrix, kind: str, cfg: OptimizerConfig,
         value = None if math.isinf(val) else val
         return OptResult(value=value, argument_unitary=np.eye(1, dtype=np.complex128),
                          converged=True, iterations_used=0, search_value=value)
-
-    n = ENSEMBLE_FACTOR * r
-    # The spectral decomposition: its zero rows have zero gradient and stay
-    # zero, so this start searches r-member ensembles only, by design; it is
-    # often the best start for e_d2.
-    starts = [np.eye(n, r, dtype=np.complex128)]
-    starts += [_isometry_from_decomposition(dec, spectral, n)
-               for dec in extra_seeds if len(dec.states) <= n]
-    while len(starts) < cfg.restarts:
-        starts.append(random_isometry(n, r, np.random.default_rng(cfg.seed ^ len(starts))))
-    runs = _descend(obj, comps, np.array(starts), cfg)
-    best_val, best_vm, best_conv, best_steps = min(runs, key=lambda run: run[0])
+    if rho.d == 2:
+        # every d = 2 member term is 2|det A|, whose roof Wootters' ensemble attains
+        best_vm = _wootters_isometry(comps)
+        best_val, best_conv, best_steps = obj.of_members(best_vm @ comps), True, 0
+    else:
+        runs = _descend(obj, comps, _roof_starts(spectral, cfg, extra_seeds), cfg)
+        best_val, best_vm, best_conv, best_steps = min(runs, key=lambda run: run[0])
     if math.isinf(best_val):
         return OptResult(value=None, argument_unitary=None, converged=False,
                          iterations_used=0, search_value=None)

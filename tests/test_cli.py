@@ -238,6 +238,13 @@ def test_dynamics_unstable_step_exit_3(capsys, argv):
     assert out == ""
 
 
+def test_dynamics_diverged_step_message(capsys):
+    code, out, err = run(capsys, "dynamics", "--r12", "0.05", "--dt", "0.05")
+    assert code == 3 and out == ""
+    assert err == ("invariant violated: state lost positivity at t=0.1 "
+                   "(diverged, largest |entry| 8.000e+00)\n")
+
+
 @pytest.mark.parametrize("flag", ["--T", "--r", "--phi", "--r12", "--gamma0",
                                   "--omega0", "--t-max", "--dt"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -297,6 +297,22 @@ def test_unstable_abort_time_matches_per_step_loop():
         evolve(cfg)
 
 
+def test_diverged_step_reports_its_largest_entry():
+    # the first bad state has entries up to 8, so its eigenvalue is rounding
+    # noise; no state within MIN_EIG_ABORT of a density matrix has an entry above 1
+    cfg = DynamicsConfig(bath=BathParams(r12=0.05), t_max=5.0, dt=0.05)
+    want = "state lost positivity at t=0.1 (diverged, largest |entry| 8.000e+00)"
+    with pytest.raises(InvariantError, match=re.escape(want)):
+        evolve(cfg)
+
+
+def test_abort_detail_names_what_failed():
+    mat = np.diag([0.5, 0.5, 1e-5, -1e-5]).astype(complex)
+    assert dyn._abort_detail(mat, -1e-5) == "min eigenvalue -1.000e-05"
+    assert dyn._abort_detail(4.0 * mat, -4e-5) == "diverged, largest |entry| 2.000e+00"
+    assert dyn._abort_detail(mat, -math.inf) == "non-finite entries"
+
+
 def test_fixed_point_survives_overflowing_step_powers():
     # at dt = 100 the step P has entries near 1e21 and P^16 overflows, but the
     # vacuum ground state is an exact fixed point of P, as it is step by step

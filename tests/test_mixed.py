@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from teleport_ent import mixed
+from teleport_ent import measures, mixed
 from teleport_ent import (
     DensityMatrix,
     InvariantError,
@@ -264,3 +264,98 @@ def test_d4_rank_capped_roof_is_none_or_validated():
         assert res.value == mixed._RoofObjective(4, "e2").of_members(members)
         assert math.isfinite(res.value) and res.value >= 0.0
     assert found >= 1  # the state supported on a 3x3 block has rank-3 members
+
+
+# ---------------------------------------------------------------------------
+# the two-qubit roof: Wootters' optimal ensemble, no search
+
+
+def _takagi_concurrence(rho):
+    """max(0, s1 - s2 - s3 - s4) from the singular values of B = comps Y comps^T."""
+    comps = _spectral_comps(rho)
+    s = np.zeros(4)
+    s[:len(comps)] = np.linalg.svd(comps @ measures._SYSY @ comps.T, compute_uv=False)
+    return max(0.0, s[0] - s[1:].sum()), s
+
+
+def _check_wootters_result(rho, kind, res):
+    comps = _spectral_comps(rho)
+    r = len(comps)
+    v = res.argument_unitary
+    assert v.shape == (mixed.ENSEMBLE_FACTOR * r, r)
+    assert np.abs(v.conj().T @ v - np.eye(r)).max() <= mixed.MANIFOLD_TOL
+    members = v @ comps
+    np.testing.assert_allclose(members.T @ members.conj(), rho.mat, rtol=0, atol=1e-10)
+    assert res.value == mixed._RoofObjective(2, kind).of_members(members)
+    assert (res.converged, res.iterations_used, res.search_value) == (True, 0, res.value)
+
+
+@pytest.mark.parametrize("kind,search", [("e2", e_d2_mixed), ("neg", cren_estimate)])
+@pytest.mark.parametrize("rank", [None, 2, 3])
+def test_two_qubit_roof_is_wootters_ensemble(kind, search, rank):
+    # concurrence_2qubit takes sqrt of clipped eigenvalues of rho rho~, so its
+    # zero eigenvalues at rank 2 and 3 leave errors near 1e-8
+    tol = 1e-12 if rank is None else 1e-7
+    for seed in range(120, 130):
+        rho = random_density_matrix(2, np.random.default_rng(seed), rank=rank)
+        res = search(rho, FAST)
+        _check_wootters_result(rho, kind, res)
+        assert abs(res.value - _takagi_concurrence(rho)[0]) <= 1e-12
+        assert abs(res.value - concurrence_2qubit(rho)) <= tol
+
+
+BELL = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]) / math.sqrt(2)
+
+
+def _mixture(weights, vectors):
+    return DensityMatrix.from_matrix(sum(w * np.outer(v, v) for w, v in zip(weights, vectors))
+                                     .astype(complex))
+
+
+# 0.5 |phi+> + 0.3 |phi-> + 0.2 |01>: |01> has z^T Y z' = 0 with every
+# member, so B is singular and the QR completes its direction
+SINGULAR_B = _mixture((0.5, 0.3, 0.2), (BELL[0], BELL[1], np.eye(4)[1]))
+
+
+@pytest.mark.parametrize("rho,want", [
+    *[(werner(p), max(0.0, (3.0 * p - 1.0) / 2.0)) for p in (0.0, 0.2, 1.0 / 3.0, 0.5, 0.8, 0.99)],
+    (_mixture((0.4, 0.4, 0.1, 0.1), BELL), 0.0),
+    (_mixture((0.7, 0.1, 0.1, 0.1), BELL), 0.4),
+    (_mixture((0.1, 0.2, 0.3, 0.4), np.eye(4)), 0.0),
+    (_mixture((0.5, 0.5), np.eye(4)[[0, 3]]), 0.0),
+    (_mixture((0.3, 0.7), np.eye(4)[:2]), 0.0),
+    (SINGULAR_B, 0.2),
+])
+@pytest.mark.parametrize("kind,search", [("e2", e_d2_mixed), ("neg", cren_estimate)])
+def test_two_qubit_roof_on_structured_states(rho, want, kind, search):
+    # Werner states (triply degenerate s), Bell-diagonal states with repeated
+    # weights, I/4 (Werner p = 0), product mixtures and a singular B
+    res = search(rho, FAST)
+    _check_wootters_result(rho, kind, res)
+    assert abs(res.value - want) <= 1e-12
+
+
+def test_singular_b_takes_the_qr_completion():
+    for rho in (SINGULAR_B, _mixture((0.3, 0.7), np.eye(4)[:2])):
+        s = _takagi_concurrence(rho)[1]
+        assert s[len(spectral_decomposition(rho).states) - 1] <= mixed.WEIGHT_FLOOR
+
+
+def test_descent_reaches_the_wootters_value_from_the_roof_starts():
+    # criterion 5's states and settings: the descent still has a known answer
+    # at d = 2, where the search itself no longer runs; every d = 2 kind has
+    # the same member terms, so one kind covers both
+    cfg = OptimizerConfig(restarts=6, seed=505)
+    obj = mixed._RoofObjective(2, "e2")
+    kept = seed = 0
+    while kept < 10:
+        rho = random_density_matrix(2, np.random.default_rng(50000 + seed))
+        seed += 1
+        if concurrence_2qubit(rho) < 0.05:
+            continue
+        kept += 1
+        spectral = spectral_decomposition(rho)
+        runs = mixed._descend(obj, spectral.members(), mixed._roof_starts(spectral, cfg), cfg)
+        best = min(run[0] for run in runs)
+        exact = e_d2_mixed(rho, cfg).value
+        assert exact - 1e-12 <= best <= exact * (1.0 + 1e-6)
