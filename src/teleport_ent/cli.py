@@ -41,6 +41,8 @@ from .states import (
 ENV_SEED = "TELEPORT_ENT_SEED"
 # random --d ceiling: a d = 32 density matrix is 1024 x 1024, 16 MB of complex entries
 RANDOM_MAX_D = 32
+# --restarts ceiling: each restart is one layer of the optimizers' start stacks
+MAX_RESTARTS = 1024
 # dynamics ceilings, checked before anything is allocated: a trajectory keeps
 # six float columns per step, and the time axis a row per grid point
 DYNAMICS_MAX_STEPS = 200_000
@@ -215,20 +217,22 @@ def _cmd_qutrit_example(args) -> int:
 
 
 def _cmd_random(args) -> int:
+    max_rank = args.d if args.kind == "pure" else args.d * args.d
+    if args.rank is not None and args.rank > max_rank:
+        raise StateParseError(f"--rank must be at most {max_rank} for a {args.kind} "
+                              f"state at d={args.d}, got {args.rank}")
     rng = np.random.default_rng(args.seed)
     if args.kind == "pure":
         obj = random_pure_state(args.d, rng, rank=args.rank)
     else:
         obj = random_density_matrix(args.d, rng, rank=args.rank)
     comment = f"seeded random {args.kind} state, d={args.d}, seed={args.seed}"
-    text = stateio.format_state(obj, comment)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        stateio.write_state_file(args.out, obj, comment)
         stateio.RunManifest(command="random", seed=args.seed,
                             version=__version__).emit(args.out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(stateio.format_state(obj, comment))
     return 0
 
 
@@ -242,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("analyze", help="measure report for a state file")
     pa.add_argument("state", help="path to a state file (pure or dm)")
-    pa.add_argument("--restarts", type=_int_at_least(1), default=8)
+    pa.add_argument("--restarts", type=_int_at_least(1, at_most=MAX_RESTARTS), default=8)
     pa.add_argument("--seed", type=_int_at_least(0), default=None, help=seed_help)
     pa.set_defaults(func=_cmd_analyze)
 
@@ -271,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pq = sub.add_parser("qutrit-example", help="built-in two-qutrit family")
     pq.add_argument("--p", type=float, required=True, help="family parameter in [0, 1/2]")
-    pq.add_argument("--restarts", type=_int_at_least(1), default=8)
+    pq.add_argument("--restarts", type=_int_at_least(1, at_most=MAX_RESTARTS), default=8)
     pq.add_argument("--seed", type=_int_at_least(0), default=None, help=seed_help)
     pq.set_defaults(func=_cmd_qutrit_example)
 

@@ -31,8 +31,7 @@ Every state of every point is checked for positivity, in time order, in
 one batched call per block of steps.  The other records (concurrence,
 the closed-form maximal singlet fraction, teleportation fidelity and
 trace error) are computed in the same blocks for a trajectory, and at
-the endpoint only for a sweep.  The ``jobs`` argument of ``sweep`` is
-accepted so that existing callers keep working, and has no effect.
+the endpoint only for a sweep.
 """
 
 from __future__ import annotations
@@ -227,26 +226,24 @@ def collective_coefficients(bath: BathParams, gamma0: float) -> tuple[float, flo
     return gamma0 * coupling_kernel(x), gamma0 * shift_kernel(x)
 
 
-def _gks_parts(cfg: DynamicsConfig
-               ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
-    """Hamiltonian, coefficient matrix and jumps for the chosen model."""
+def _gks_parts(cfg: DynamicsConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Hamiltonian and coefficient matrix, in the order of _JUMPS[cfg.model]."""
     n_eff, m_eff = squeezed_occupations(cfg.bath, cfg.omega0)
-    jumps = _JUMPS[cfg.model]
     if cfg.model is ModelKind.QND:
         kappa = coupling_kernel(cfg.bath.r12)
         scale = 0.25 * cfg.gamma0 * (2.0 * n_eff + 1.0)
         c = scale * np.array([[1.0, kappa], [kappa, 1.0]], dtype=np.complex128)
-        return np.zeros((4, 4), dtype=np.complex128), c, jumps
+        return np.zeros((4, 4), dtype=np.complex128), c
     gamma12, omega12 = collective_coefficients(cfg.bath, cfg.gamma0)
     g = np.array([[cfg.gamma0, gamma12], [gamma12, cfg.gamma0]])
     k = np.array([[n_eff + 1.0, -m_eff], [-np.conj(m_eff), n_eff]])
-    return omega12 * _EXCHANGE, np.kron(k, g), jumps
+    return omega12 * _EXCHANGE, np.kron(k, g)
 
 
 def _liouvillian(cfg: DynamicsConfig) -> np.ndarray:
     """Matrix L with vec(drho/dt) = L vec(rho), row-major vectorization."""
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        h, c, _ = _gks_parts(cfg)
+        h, c = _gks_parts(cfg)
         eye = np.eye(4)
         lv = (-1j * (np.kron(h, eye) - np.kron(eye, h.T))
               + np.tensordot(c, _DISSIPATORS[cfg.model], 2))
@@ -440,14 +437,13 @@ class SweepResult:
     rows: tuple[tuple[float, float, float, float, float, float], ...]
 
 
-def sweep(cfg: DynamicsConfig, axis: str, grid: np.ndarray, jobs: int = 1) -> SweepResult:
+def sweep(cfg: DynamicsConfig, axis: str, grid: np.ndarray) -> SweepResult:
     """Endpoint diagnostics along a parameter grid.
 
     The time axis samples the trajectory of cfg at the nearest recorded
     steps.  The other axes advance the grid points together, up to
     _SWEEP_POINTS at a time, check positivity at every step, and report
-    the t = t_max row.  ``jobs`` is accepted so that existing callers keep
-    working, and has no effect.
+    the t = t_max row.
     """
     if axis not in SWEEP_AXES:
         raise InvariantError(f"unknown sweep axis {axis!r}; use one of {SWEEP_AXES}")

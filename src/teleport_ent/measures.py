@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantError
-from .states import DensityMatrix, PureBipartiteState, SchmidtSpectrum, schmidt
+from .states import (DEFAULT_RANK_TOL, DensityMatrix, PureBipartiteState, SchmidtSpectrum,
+                     schmidt)
 
 USEFUL_GUARD = 1e-12
 NEGATIVE_CLAMP = 1e-10
@@ -95,26 +96,19 @@ def negativity_pure(spectrum: SchmidtSpectrum, d: int) -> float:
     return _clamp(float(2.0 * pair_sum / (d - 1.0)))
 
 
-def partial_transpose(rho: np.ndarray, d: int, subsystem: str = "A") -> np.ndarray:
-    """Partial transpose of a d*d x d*d matrix over one d-dimensional factor.
+def partial_transpose(rho: np.ndarray, d: int) -> np.ndarray:
+    """Partial transpose of a d*d x d*d matrix over the first factor, A.
 
     Index convention: row index (i, k) and column index (j, l) refer to
-    basis |i>|k><j|<l|, flattened row-major.  Transposing subsystem A swaps
-    i and j; subsystem B swaps k and l.
+    basis |i>|k><j|<l|, flattened row-major; transposing A swaps i and j.
     """
     four = np.asarray(rho).reshape(d, d, d, d)
-    if subsystem == "A":
-        out = four.transpose(2, 1, 0, 3)
-    elif subsystem == "B":
-        out = four.transpose(0, 3, 2, 1)
-    else:
-        raise InvariantError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
-    return np.ascontiguousarray(out.reshape(d * d, d * d))
+    return np.ascontiguousarray(four.transpose(2, 1, 0, 3).reshape(d * d, d * d))
 
 
 def negativity_mixed(rho: DensityMatrix) -> float:
     """(||rho^T_A||_1 - 1)/(d - 1), the trace norm as a sum of singular values."""
-    pt = partial_transpose(rho.mat, rho.d, "A")
+    pt = partial_transpose(rho.mat, rho.d)
     trace_norm = float(np.linalg.svd(pt, compute_uv=False).sum())
     return _clamp((trace_norm - 1.0) / (rho.d - 1.0))
 
@@ -126,8 +120,8 @@ def negativity_fraction_relation_check(spectrum: SchmidtSpectrum, d: int) -> flo
     return abs(n - (d * f - 1.0) / (d - 1.0))
 
 
-def _require_rank_le3(lam: np.ndarray, rank_tol: float) -> None:
-    if lam.size > 3 and np.any(lam[3:] > rank_tol):
+def _require_rank_le3(lam: np.ndarray) -> None:
+    if lam.size > 3 and np.any(lam[3:] > DEFAULT_RANK_TOL):
         raise InvariantError("Schmidt rank above three is outside this measure's scope")
 
 
@@ -136,7 +130,7 @@ def e_d2(spectrum: SchmidtSpectrum, d: int) -> float:
     if d < 2:
         raise InvariantError("e_d2 needs d >= 2")
     lam = _lambdas(spectrum, d)
-    _require_rank_le3(lam, spectrum.rank_tol)
+    _require_rank_le3(lam)
     l1, l2, l3 = lam[0], lam[1], (lam[2] if d > 2 else 0.0)
     pairs = l1 * l2 + l1 * l3 + l2 * l3
     return math.sqrt(_clamp(2.0 * d / (d - 1.0) * pairs))
@@ -147,7 +141,7 @@ def e_d3(spectrum: SchmidtSpectrum, d: int) -> float:
     if d < 3:
         raise InvariantError("e_d3 needs d >= 3")
     lam = _lambdas(spectrum, d)
-    _require_rank_le3(lam, spectrum.rank_tol)
+    _require_rank_le3(lam)
     triple = lam[0] * lam[1] * lam[2]
     return (6.0 * d * d / ((d - 1.0) * (d - 2.0)) * _clamp(triple)) ** (1.0 / 3.0)
 
@@ -250,7 +244,9 @@ def analyze_pure(state: PureBipartiteState) -> MeasureReport:
     useful = is_useful(f, d)
     if rank <= 3:
         e2: float | None = e_d2(spec, d)
-        e3: float | None = e_d3(spec, d) if d >= 3 else 0.0
+        # e_d3 vanishes on rank <= 2, and a weight under the rank cut would
+        # still reach the report through the cube root
+        e3: float | None = e_d3(spec, d) if d >= 3 and rank == 3 else 0.0
     else:
         e2 = None
         e3 = None

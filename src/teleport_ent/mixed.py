@@ -54,20 +54,20 @@ from .measures import MeasureReport, RankClass
 DEFAULT_SEED = 1729
 MANIFOLD_TOL = 1e-8
 WEIGHT_FLOOR = 1e-14
+# stops an ascent restart when the polar step's possible gain falls to it, and
+# a descent restart when two successive steps each gain less than it (relative)
+CONVERGENCE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     restarts: int = 32
     max_iters: int = 500
-    tol: float = 1e-9
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         if self.restarts < 1 or self.max_iters < 1:
             raise InvariantError("restarts and max_iters must be positive")
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise InvariantError("tol must be finite and positive")
         if self.seed < 0:
             raise InvariantError(f"seed must be non-negative, got {self.seed}")
 
@@ -135,7 +135,7 @@ def _ascend(rho_mat: np.ndarray, d: int, u: np.ndarray,
         g = (rho_mat @ u.reshape(len(u), -1, 1)).reshape(u.shape)
         nxt = _polar(g)
         f_nxt = _fractions(rho_mat, nxt, d)
-        stop = (2.0 * (_re_dots(nxt, g) / d - f) <= cfg.tol) | (f_nxt <= f)
+        stop = (2.0 * (_re_dots(nxt, g) / d - f) <= CONVERGENCE_TOL) | (f_nxt <= f)
         if stop.any():
             idx = live[stop]
             end_f[idx], end_u[idx], converged[idx], iters[idx] = f[stop], u[stop], True, it
@@ -401,7 +401,8 @@ def _descend(obj: _RoofObjective, comps: np.ndarray, v0: np.ndarray,
     member term near zero can cause."""
     v, steps = v0, np.zeros(len(v0), dtype=int)
     for mu in ((_E3_MU, 0.0) if obj.kind == "e3" else (0.0,)):
-        v, converged, used = _cg_stage(obj, comps, v, mu, cfg.max_iters - steps, cfg.tol)
+        v, converged, used = _cg_stage(obj, comps, v, mu, cfg.max_iters - steps,
+                                       CONVERGENCE_TOL)
         steps += used
     runs = []
     for vk, vk0, conv, n in zip(v, v0, converged.tolist(), steps.tolist()):
@@ -528,10 +529,9 @@ def cren_upper_bound(rho: DensityMatrix, decomposition: PureDecomposition) -> fl
     return _RoofObjective(rho.d, "neg").of_members(decomposition.members())
 
 
-def cren_estimate(rho: DensityMatrix, cfg: OptimizerConfig | None = None,
-                  extra_seeds: tuple[PureDecomposition, ...] = ()) -> OptResult:
+def cren_estimate(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> OptResult:
     """Searched upper bound on the convex-roof extended negativity."""
-    return _roof_search(rho, "neg", cfg or OptimizerConfig(), extra_seeds)
+    return _roof_search(rho, "neg", cfg or OptimizerConfig())
 
 
 def e_d2_mixed(rho: DensityMatrix, cfg: OptimizerConfig | None = None,
@@ -541,12 +541,11 @@ def e_d2_mixed(rho: DensityMatrix, cfg: OptimizerConfig | None = None,
     return _roof_search(rho, "e2", cfg or OptimizerConfig(), extra_seeds)
 
 
-def e_d3_mixed(rho: DensityMatrix, cfg: OptimizerConfig | None = None,
-               extra_seeds: tuple[PureDecomposition, ...] = ()) -> OptResult:
+def e_d3_mixed(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> OptResult:
     """Searched convex-roof value of e_d3 (d >= 3)."""
     if rho.d < 3:
         raise InvariantError("e_d3_mixed needs d >= 3")
-    return _roof_search(rho, "e3", cfg or OptimizerConfig(), extra_seeds)
+    return _roof_search(rho, "e3", cfg or OptimizerConfig())
 
 
 def classify_mixed(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> MeasureReport:

@@ -8,7 +8,7 @@ space with the same index convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,7 +78,6 @@ class SchmidtSpectrum:
     """Descending squared Schmidt coefficients of a pure bipartite state."""
 
     lambdas: np.ndarray
-    rank_tol: float = DEFAULT_RANK_TOL
 
     def __post_init__(self):
         lam = np.asarray(self.lambdas, dtype=float).reshape(-1)
@@ -94,7 +93,7 @@ class SchmidtSpectrum:
 
     @property
     def schmidt_rank(self) -> int:
-        return int(np.count_nonzero(self.lambdas > self.rank_tol))
+        return int(np.count_nonzero(self.lambdas > DEFAULT_RANK_TOL))
 
 
 def schmidt(state: PureBipartiteState) -> SchmidtSpectrum:
@@ -143,8 +142,6 @@ class PureDecomposition:
 
     weights: np.ndarray
     states: tuple[PureBipartiteState, ...]
-    # deviation of sum_i p_i |psi_i><psi_i| from the target, when validated
-    reconstruction_error: float = field(default=0.0, compare=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float).reshape(-1)
@@ -172,7 +169,7 @@ def validated_decomposition(weights, states, target: DensityMatrix) -> PureDecom
     err = float(np.linalg.norm(dec.reconstruct() - target.mat))
     if err > RECONSTRUCTION_TOL:
         raise InvariantError(f"decomposition misses the target by {err:.3e} (Frobenius)")
-    return PureDecomposition(weights=weights, states=states, reconstruction_error=err)
+    return dec
 
 
 def spectral_decomposition(rho: DensityMatrix) -> PureDecomposition:

@@ -230,7 +230,7 @@ def esd_sweep():
         gamma0=1.0, t_max=1.0, dt=2e-3, max_steps=4096,
         initial=dyn.antisymmetric_initial_state())
     grid = np.linspace(0.3, 3.0, 28)
-    return grid, dyn.sweep(cfg, "r12", grid, jobs=4)
+    return grid, dyn.sweep(cfg, "r12", grid)
 
 
 @pytest.fixture(scope="module")
@@ -240,7 +240,7 @@ def squeeze_sweep():
         bath=dyn.BathParams(temperature=5.0, squeeze_r=0.0, r12=0.05),
         gamma0=0.2, t_max=2.0, dt=1e-3, max_steps=4096)
     grid = np.linspace(-0.05, 0.05, 41)
-    return grid, dyn.sweep(cfg, "squeeze_r", grid, jobs=4)
+    return grid, dyn.sweep(cfg, "squeeze_r", grid)
 
 
 def test_criterion_7_dynamics_conservation(figure_runs):

@@ -4,14 +4,17 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from teleport_ent import DensityMatrix, PureBipartiteState, random_density_matrix
 from teleport_ent import stateio
-from teleport_ent.cli import main
+from teleport_ent.cli import MAX_RESTARTS, main
 from teleport_ent.errors import StateParseError
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -439,3 +442,34 @@ def test_dynamics_ceilings_are_accepted(tmp_path, capsys):
 def test_dynamics_has_no_jobs_option(capsys):
     assert _exit_code(["dynamics", "--t-max", "0.01", "--jobs", "1"]) == 2
     assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind,d,rank", [("pure", 3, 4), ("dm", 2, 5), ("dm", 3, 10)])
+def test_random_rank_above_dimension_exit_2(tmp_path, capsys, kind, d, rank):
+    path = tmp_path / "r.txt"
+    argv = ["random", kind, "--d", str(d), "--rank", str(rank), "--out", str(path)]
+    assert _exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and f"at most {rank - 1}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [("analyze", "state.txt"),
+                                     ("qutrit-example", "--p", "0.3")])
+def test_restarts_above_ceiling_exit_2(capsys, command):
+    assert _exit_code([*command, f"--restarts={MAX_RESTARTS + 1}"]) == 2
+    err = capsys.readouterr().err
+    assert f"must be at most {MAX_RESTARTS}" in err and "--restarts" in err
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("dynamics_dissipative_t0.05",
+     ("--model", "dissipative", "--T", "0.5", "--r", "0.3", "--phi", "0.2", "--r12", "0.5")),
+    ("dynamics_qnd_t0.05", ("--model", "qnd", "--T", "1.0", "--r", "0.2")),
+    ("dynamics_sweep_r12_t0.05",
+     ("--model", "dissipative", "--T", "0.5", "--r", "0.3", "--sweep", "r12=0.1:1:5")),
+])
+def test_dynamics_csv_matches_golden_bytes(tmp_path, name, argv):
+    path = tmp_path / "d.csv"
+    assert main(["dynamics", *argv, "--t-max", "0.05", "--out", str(path)]) == 0
+    assert path.read_bytes() == (GOLDEN / f"{name}.out").read_bytes()

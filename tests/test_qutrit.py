@@ -65,8 +65,9 @@ def test_family_parameter_range():
 
 def test_declared_decomposition_reconstructs_on_grid():
     for p in np.linspace(0.0, 0.5, 64):
-        dec = declared_decomposition(FamilyParams(p=float(p)))
-        assert dec.reconstruction_error <= 1e-10
+        params = FamilyParams(p=float(p))
+        dec = declared_decomposition(params)
+        assert np.linalg.norm(dec.reconstruct() - build_rho_f(params).mat) <= 1e-10
 
 
 def test_closed_form_chain_values():

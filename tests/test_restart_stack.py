@@ -75,7 +75,8 @@ def test_e3_second_stage_gets_what_the_first_left():
     obj = mixed._RoofObjective(3, "e3")
     cfg = OptimizerConfig()
     budget = np.full(len(starts), cfg.max_iters)
-    first = mixed._cg_stage(obj, comps, starts, mixed._E3_MU, budget, cfg.tol)[2]
+    first = mixed._cg_stage(obj, comps, starts, mixed._E3_MU, budget,
+                            mixed.CONVERGENCE_TOL)[2]
     assert first.max() == cfg.max_iters and first.min() < cfg.max_iters
     runs = descend_each(obj, comps, starts, cfg)
     for used, (_, _, conv, steps) in zip(first, runs):
