@@ -32,6 +32,26 @@ one batched call per block of steps.  The other records (concurrence,
 the closed-form maximal singlet fraction, teleportation fidelity and
 trace error) are computed in the same blocks for a trajectory, and at
 the endpoint only for a sweep.
+
+Both generators commute with the parity sz x sz, so they map X states
+(zero off the diagonal and the anti-diagonal) to X states: every entry
+of L that couples an X entry to a non-X one is exactly 0.0, and a run
+that starts from an X state stays one exactly.  Each block of steps
+picks its path from the states themselves.  A block whose entries are
+all finite and exactly 0.0 off the X pattern takes closed forms in its
+two 2 x 2 parity blocks, with no eigensolver call.  With a, b, c, d the
+diagonal and z = |rho03|, y = |rho12|:
+
+* min_eig = the smaller of (a + d)/2 - hypot((a - d)/2, z) and
+  (b + c)/2 - hypot((b - c)/2, y);
+* f = max((a + d)/2 + z, (b + c)/2 + y);
+* C = 2 max(0, z - sqrt(bc), y - sqrt(ad)), the X-state concurrence of
+  Yu and Eberly, Quantum Inf. Comput. 7, 459 (2007).
+
+So X runs print C exact to rounding, where the general route loses up to
+~1e-8 on rank-deficient states.  Every other block, including any with a
+non-finite entry (0 * inf puts NaN off the pattern), takes the batched
+eigensolvers, which never see a non-finite state.
 """
 
 from __future__ import annotations
@@ -65,6 +85,10 @@ _SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 _I2 = np.eye(2, dtype=np.complex128)
 # vec(m) -> vec(m.T) for a row-major vectorized 4 x 4 matrix
 _VEC_TRANSPOSE = np.arange(16).reshape(4, 4).T.reshape(-1)
+# row-major positions of a 4 x 4 matrix's diagonal, and of its entries off
+# the diagonal and the anti-diagonal: those an X state has exactly 0.0
+_DIAG = np.array([0, 5, 10, 15])
+_OFF_X = np.array([1, 2, 4, 7, 8, 11, 13, 14])
 
 
 class ModelKind(enum.Enum):
@@ -319,6 +343,28 @@ def _min_eig(mats: np.ndarray) -> np.ndarray:
     return out
 
 
+def _x_blocks(mats: np.ndarray) -> np.ndarray | None:
+    """(6, ...) real stack a, b, c, d, z, y = rho00, rho11, rho22, rho33,
+    |rho03|, |rho12| of a (..., 4, 4) hermitian stack, or None unless every
+    matrix is finite and exactly 0.0 off its diagonal and anti-diagonal."""
+    flat = mats.reshape(mats.shape[:-2] + (16,))
+    if flat[..., _OFF_X].any() or not np.isfinite(flat).all():
+        return None
+    blocks = np.empty((6,) + flat.shape[:-1])
+    blocks[:4] = np.moveaxis(flat[..., _DIAG].real, -1, 0)
+    blocks[4] = np.abs(flat[..., 3])
+    blocks[5] = np.abs(flat[..., 6])
+    return blocks
+
+
+def _x_min_eig(blocks: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each X state: the lower eigenvalue of its two
+    2 x 2 parity blocks [[a, rho03], [rho30, d]] and [[b, rho12], [rho21, c]]."""
+    a, b, c, d, z, y = blocks
+    return np.minimum(0.5 * (a + d) - np.hypot(0.5 * (a - d), z),
+                      0.5 * (b + c) - np.hypot(0.5 * (b - c), y))
+
+
 def _abort_detail(mat: np.ndarray, min_eig: float) -> str:
     """Why a state failed the positivity scan.  No state within MIN_EIG_ABORT
     of a density matrix has an entry above 1, and the eigenvalue of one that
@@ -332,12 +378,22 @@ def _abort_detail(mat: np.ndarray, min_eig: float) -> str:
     return f"min eigenvalue {min_eig:.3e}"
 
 
-def _diagnostics(mats: np.ndarray, min_eig: np.ndarray) -> tuple[np.ndarray, ...]:
+def _diagnostics(mats: np.ndarray, min_eig: np.ndarray,
+                 blocks: np.ndarray | None) -> tuple[np.ndarray, ...]:
     """Concurrence, fraction, fidelity, trace error and minimal eigenvalue of
     each state in an (n, 4, 4) stack whose minimal eigenvalues are min_eig,
-    one batched call per column."""
-    conc = measures.concurrence_2qubit_stack(mats)
-    frac = mixed.fef_2qubit_stack(mats)
+    one batched call per column.  Given the stack's _x_blocks, concurrence
+    and fraction are the X-state closed forms: Yu and Eberly's
+    2 max(0, z - sqrt(bc), y - sqrt(ad)), and the larger of the parity
+    blocks' (a + d)/2 + z and (b + c)/2 + y."""
+    if blocks is None:
+        conc = measures.concurrence_2qubit_stack(mats)
+        frac = mixed.fef_2qubit_stack(mats)
+    else:
+        a, b, c, d, z, y = blocks
+        conc = 2.0 * np.maximum(0.0, np.maximum(z - np.sqrt(np.maximum(b * c, 0.0)),
+                                                y - np.sqrt(np.maximum(a * d, 0.0))))
+        frac = np.maximum(0.5 * (a + d) + z, 0.5 * (b + c) + y)
     fid = measures.fidelity_from_fraction(frac, 2)
     tr = np.trace(mats, axis1=-2, axis2=-1)
     tr_err = np.abs(tr.real - 1.0) + np.abs(tr.imag)
@@ -387,7 +443,8 @@ def _integrate(cfg: DynamicsConfig, axis: str = "", points: np.ndarray | None = 
             if n < block and k + m <= steps:
                 continue
             mats = buf[:n].reshape(n, g, 4, 4)
-            min_eig = _min_eig(mats)
+            blocks = _x_blocks(mats)
+            min_eig = _min_eig(mats) if blocks is None else _x_min_eig(blocks)
             bad = np.flatnonzero(~(min_eig >= MIN_EIG_ABORT))
             if bad.size:
                 i, j = np.unravel_index(bad[0], min_eig.shape)
@@ -395,12 +452,14 @@ def _integrate(cfg: DynamicsConfig, axis: str = "", points: np.ndarray | None = 
                 raise InvariantError(f"state lost positivity at t={(k0 + i) * dt:.6g}{at} "
                                      f"({_abort_detail(mats[i, j], min_eig[i, j])})")
             if points is None:
-                cols[:, k0:k0 + n] = _diagnostics(mats[:, 0], min_eig[:, 0])
+                cols[:, k0:k0 + n] = _diagnostics(
+                    mats[:, 0], min_eig[:, 0], None if blocks is None else blocks[:, :, 0])
             k0 += n
             n = 0
     if points is None:
         return cols
-    return np.array(_diagnostics(mats[-1], min_eig[-1]))
+    return np.array(_diagnostics(mats[-1], min_eig[-1],
+                                 None if blocks is None else blocks[:, -1]))
 
 
 def evolve(cfg: DynamicsConfig) -> Trajectory:

@@ -81,13 +81,12 @@ class OptimizerConfig:
 @dataclass(frozen=True)
 class OptResult:
     """Outcome of a search; argument_unitary is the unitary (or mix isometry)
-    achieving value.  search_value repeats value (None when value is)."""
+    achieving value."""
 
     value: float | None
     argument_unitary: np.ndarray | None
     converged: bool
     iterations_used: int
-    search_value: float | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +206,7 @@ def singlet_fraction_mixed(rho: DensityMatrix, cfg: OptimizerConfig | None = Non
     if dev > MANIFOLD_TOL:
         raise InvariantError(f"optimizer left the unitary manifold by {dev:.3e}")
     return OptResult(value=best_val, argument_unitary=best_u, converged=best_conv,
-                     iterations_used=best_iters, search_value=best_val)
+                     iterations_used=best_iters)
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +559,7 @@ def _roof_search(rho: DensityMatrix, kind: str, cfg: OptimizerConfig,
         val = obj.of_members(comps)
         value = None if math.isinf(val) else val
         return OptResult(value=value, argument_unitary=np.eye(1, dtype=np.complex128),
-                         converged=True, iterations_used=0, search_value=value)
+                         converged=True, iterations_used=0)
     if rho.d == 2:
         # every d = 2 member term is 2|det A|, whose roof Wootters' ensemble attains
         best_vm = _wootters_isometry(comps)
@@ -576,12 +575,12 @@ def _roof_search(rho: DensityMatrix, kind: str, cfg: OptimizerConfig,
             best_val, best_vm, best_conv, best_steps = min(runs, key=lambda run: run[0])
     if math.isinf(best_val):
         return OptResult(value=None, argument_unitary=None, converged=False,
-                         iterations_used=0, search_value=None)
+                         iterations_used=0)
     dev = np.abs(best_vm.conj().T @ best_vm - np.eye(r)).max()
     if dev > MANIFOLD_TOL:
         raise InvariantError(f"search left the isometry manifold by {dev:.3e}")
     return OptResult(value=best_val, argument_unitary=best_vm, converged=best_conv,
-                     iterations_used=best_steps, search_value=best_val)
+                     iterations_used=best_steps)
 
 
 def cren_upper_bound(rho: DensityMatrix, decomposition: PureDecomposition) -> float:

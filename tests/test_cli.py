@@ -156,6 +156,25 @@ def test_dynamics_csv_bytes_match_per_float_formatting(tmp_path, capsys):
     assert stateio.format_csv(()) == stateio.CSV_HEADER + "\n"
 
 
+def test_dynamics_non_x_state_file(tmp_path, capsys):
+    """A start with entries off the diagonal and anti-diagonal runs the
+    LAPACK diagnostics; the CSV is the library trajectory's rows."""
+    from teleport_ent import BathParams, DynamicsConfig, evolve
+
+    state = str(tmp_path / "rho.txt")
+    assert run(capsys, "random", "dm", "--d", "2", "--seed", "1800", "--out", state)[0] == 0
+    rho = stateio.read_state_file(state)
+    assert np.abs(rho.mat[0, 1]) > 0.0
+    traj = evolve(DynamicsConfig(bath=BathParams(temperature=1.0, r12=0.5), t_max=0.05,
+                                 initial=rho))
+    path = str(tmp_path / "traj.csv")
+    code, _, _ = run(capsys, "dynamics", "--T", "1", "--r12", "0.5", "--t-max", "0.05",
+                     "--state", state, "--out", path)
+    assert code == 0
+    with open(path, "rb") as fh:
+        assert fh.read() == _csv_per_float(traj.row(k) for k in range(len(traj))).encode()
+
+
 def test_dynamics_sweep_grid_parse_error(capsys):
     code, _, err = run(capsys, "dynamics", "--sweep", "r12=bad-grid")
     assert code == 2

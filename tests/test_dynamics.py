@@ -18,6 +18,7 @@ from teleport_ent import (
     default_initial_state,
     evolve,
     lindblad_rhs,
+    random_density_matrix,
     shift_kernel,
     squeezed_occupations,
     step_doubling_check,
@@ -280,6 +281,42 @@ def test_evolve_matches_per_step_rk4_at_chunk_edges(name, steps):
     assert np.abs(got - want).max() <= 1e-12
 
 
+# a full-rank start with C = 0.4, so every block takes the LAPACK path
+NON_X_START = random_density_matrix(2, np.random.default_rng(1800))
+NON_X_CASES = {
+    "dissipative thermal": DynamicsConfig(
+        model=ModelKind.DISSIPATIVE,
+        bath=BathParams(temperature=1.0, squeeze_r=0.1, squeeze_phi=0.7, r12=0.5),
+        gamma0=0.2, t_max=0.5, dt=5e-4, max_steps=20000, initial=NON_X_START),
+    "qnd collective": dataclasses.replace(CRITERION_7_SHORT["qnd collective"],
+                                          initial=NON_X_START),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_X_CASES))
+def test_non_x_start_matches_per_step_rk4(name):
+    cfg = NON_X_CASES[name]
+    assert dyn._x_blocks(NON_X_START.mat) is None
+    want = _rk4_loop_oracle(cfg)
+    traj = evolve(cfg)
+    got = np.column_stack([traj.t, traj.concurrence, traj.fraction, traj.fidelity,
+                           traj.trace_err, traj.min_eig])
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(NON_X_CASES))
+def test_non_x_sweep_matches_per_step_rk4(name):
+    cfg = dataclasses.replace(NON_X_CASES[name], t_max=0.05)
+    grid = np.linspace(0.3, 3.0, 4)
+    rows = np.array(sweep(cfg, "r12", grid).rows)
+    for x, row in zip(grid, rows):
+        bath = dataclasses.replace(cfg.bath, r12=float(x))
+        want = _rk4_loop_oracle(dataclasses.replace(cfg, bath=bath))[-1]
+        assert row[0] == x
+        assert np.abs(row[1:] - want[1:]).max() <= 1e-12
+
+
 def test_unstable_abort_time_matches_per_step_loop():
     # dt * Omega12 is about 300: the state leaves positivity inside the first chunk
     cfg = DynamicsConfig(bath=BathParams(r12=0.05), t_max=5.0, dt=0.05)
@@ -384,3 +421,114 @@ def test_extreme_finite_baths_abort_cleanly():
         with pytest.raises(InvariantError):
             evolve(DynamicsConfig(bath=bath, t_max=0.01))
     assert thermal_occupation(1e-3) == 0.0  # omega0 / T = 1000
+
+
+# ---------------------------------------------------------------------------
+# closed forms on X states (entries off the diagonal and anti-diagonal zero)
+
+X_POS = np.array([0, 3, 5, 6, 9, 10, 12, 15])
+
+
+def _random_x_state(rng, outer_rank, inner_rank):
+    """X state whose parity blocks, on (|00>, |11>) and (|01>, |10>), have the
+    given ranks; the coherences rho03 and rho12 carry random phases."""
+    mat = np.zeros((4, 4), dtype=complex)
+    for idx, rank in (([0, 3], outer_rank), ([1, 2], inner_rank)):
+        g = rng.standard_normal((2, rank)) + 1j * rng.standard_normal((2, rank))
+        mat[np.ix_(idx, idx)] = rng.uniform(0.1, 1.0) * g @ g.conj().T
+    return mat / np.trace(mat).real
+
+
+def _bell(k):
+    psi = np.zeros(4, dtype=complex)
+    i, j, sign = ((0, 3, 1), (0, 3, -1), (1, 2, 1), (1, 2, -1))[k]
+    psi[i], psi[j] = 1.0, sign
+    return np.outer(psi, psi.conj()) / 2.0
+
+
+def _werner(p):
+    return p * _bell(3) + (1.0 - p) * np.eye(4) / 4.0
+
+
+def _x_kernel(mats):
+    blocks = dyn._x_blocks(mats)
+    assert blocks is not None
+    min_eig = dyn._x_min_eig(blocks)
+    conc, frac = dyn._diagnostics(mats, min_eig, blocks)[:2]
+    return conc, frac, min_eig
+
+
+def _x_products():
+    return np.array([np.kron(np.diag([p, 1 - p]), np.diag([q, 1 - q]))
+                     for p in (0.0, 0.3, 1.0) for q in (0.0, 0.5, 0.8)])
+
+
+def _x_known_states():
+    rng = np.random.default_rng(2718)
+    ranks = [(r1, r2) for r1 in range(3) for r2 in range(3) if r1 + r2]
+    states = [_random_x_state(rng, *rank) for rank in ranks for _ in range(6)]
+    return np.concatenate((states, _x_products(), [_bell(k) for k in range(4)],
+                           [_werner(p) for p in np.linspace(0.0, 1.0, 7)]))
+
+
+def test_x_kernel_matches_the_general_routes():
+    mats = _x_known_states()
+    conc, frac, min_eig = _x_kernel(mats)
+    assert np.abs(frac - mixed.fef_2qubit_stack(mats)).max() <= 1e-14
+    assert np.abs(min_eig - np.linalg.eigvalsh(mats)[:, 0]).max() <= 1e-14
+    cfg = mixed.OptimizerConfig(restarts=1)
+    roof = [mixed.e_d2_mixed(DensityMatrix.from_matrix(m), cfg).value for m in mats]
+    assert np.abs(conc - roof).max() <= 1e-13
+
+
+def test_x_kernel_known_values():
+    bells = np.array([_bell(k) for k in range(4)])
+    conc, frac, _ = _x_kernel(bells)
+    assert np.abs(conc - 1.0).max() <= 1e-15 and np.abs(frac - 1.0).max() <= 1e-15
+    assert (_x_kernel(_x_products())[0] == 0.0).all()
+    p = np.linspace(0.0, 1.0, 7)
+    conc, frac, min_eig = _x_kernel(np.array([_werner(x) for x in p]))
+    assert np.abs(conc - np.maximum(0.0, (3.0 * p - 1.0) / 2.0)).max() <= 1e-15
+    assert np.abs(frac - (1.0 + 3.0 * p) / 4.0).max() <= 1e-15
+    assert np.abs(min_eig - (1.0 - p) / 4.0).max() <= 1e-15
+
+
+def test_x_blocks_select_only_finite_x_states():
+    mats = _x_known_states()
+    assert dyn._x_blocks(mats) is not None
+    for flat in (1, 14):  # one entry off the X pattern
+        off = mats.copy().reshape(-1, 16)
+        off[5, flat] = 1e-300
+        assert dyn._x_blocks(off.reshape(-1, 4, 4)) is None
+    for bad in (math.nan, math.inf):  # 0 * inf puts NaN off the pattern
+        non_finite = mats.copy()
+        non_finite[3, 0, 3] = bad
+        assert dyn._x_blocks(non_finite) is None
+
+
+@pytest.mark.parametrize("model", list(ModelKind))
+@pytest.mark.parametrize("bath", [
+    BathParams(temperature=1.0, squeeze_r=0.2, squeeze_phi=0.7, r12=0.3),
+    BathParams(temperature=0.5, squeeze_r=0.4, squeeze_phi=-2.1, r12=0.05),
+    BathParams(temperature=0.0, squeeze_r=0.1, squeeze_phi=3.0, r12=2.5),
+])
+def test_liouvillian_keeps_x_and_non_x_entries_apart(model, bath):
+    """The invariant that keeps an X run on the closed forms at every step."""
+    lv = dyn._liouvillian(DynamicsConfig(model=model, bath=bath, gamma0=0.5))
+    assert (lv[np.ix_(X_POS, dyn._OFF_X)] == 0.0).all()
+    assert (lv[np.ix_(dyn._OFF_X, X_POS)] == 0.0).all()
+    assert np.abs(lv[np.ix_(X_POS, X_POS)]).max() > 0.0
+
+
+def test_x_runs_make_no_lapack_call(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an X run reached a LAPACK diagnostic")
+
+    monkeypatch.setattr(measures, "concurrence_2qubit_stack", refuse)
+    monkeypatch.setattr(mixed, "fef_2qubit_stack", refuse)
+    monkeypatch.setattr(dyn, "_min_eig", refuse)
+    cfg = CRITERION_7_SHORT["dissipative thermal"]
+    traj = evolve(cfg)
+    assert len(traj) == 1001 and traj.concurrence[0] > 0.9
+    cfg = dataclasses.replace(cfg, t_max=0.05, initial=antisymmetric_initial_state())
+    assert len(sweep(cfg, "r12", np.linspace(0.3, 3.0, 5)).rows) == 5

@@ -135,5 +135,5 @@ def test_two_qubit_fraction_is_evaluated_at_the_closed_form_unitary(seed):
     res = singlet_fraction_mixed(rho, OptimizerConfig())
     assert (res.converged, res.iterations_used) == (True, 0)
     u = res.argument_unitary
-    assert res.value == res.search_value == mixed._fractions(rho.mat, u[None], 2)[0]
+    assert res.value == mixed._fractions(rho.mat, u[None], 2)[0]
     assert abs(res.value - fef_2qubit_closed_form(rho)) <= 1e-14
