@@ -50,13 +50,13 @@ from .errors import InvariantError
 from .states import (
     DEFAULT_RANK_TOL,
     ENSEMBLE_FACTOR,
-    RECONSTRUCTION_TOL,
     DensityMatrix,
     PureDecomposition,
     haar_unitary,
     random_isometry,
     schmidt,
     spectral_decomposition,
+    validated_decomposition,
 )
 from . import measures
 from .measures import MeasureReport, RankClass
@@ -85,7 +85,7 @@ class OptimizerConfig:
 @dataclass(frozen=True)
 class OptResult:
     """Outcome of a search; argument_unitary is the unitary (or mix isometry)
-    achieving value."""
+    achieving value, and None when value is."""
 
     value: float | None
     argument_unitary: np.ndarray | None
@@ -617,27 +617,15 @@ def _root_stage(comps: np.ndarray) -> np.ndarray | None:
     return v
 
 
-def _isometry_from_decomposition(dec: PureDecomposition, spectral: PureDecomposition,
-                                 n_rows: int) -> np.ndarray:
-    """Express an ensemble as a row mix of the spectral components."""
-    comp_vecs = np.array([st.vector() for st in spectral.states])
-    raw = np.zeros((n_rows, len(spectral.states)), dtype=np.complex128)
-    raw[:len(dec.states)] = dec.members() @ comp_vecs.conj().T / np.sqrt(spectral.weights)
-    return _polar(raw)
-
-
-def _roof_starts(spectral: PureDecomposition, cfg: OptimizerConfig,
-                 extra_seeds: tuple[PureDecomposition, ...] = ()) -> np.ndarray:
+def _roof_starts(spectral: PureDecomposition, cfg: OptimizerConfig) -> np.ndarray:
     """The (R, ENSEMBLE_FACTOR r, r) stack of descent starts: the spectral
-    decomposition, the extra seeds that fit, then seeded random isometries.
-    The spectral start's zero rows have zero gradient and stay zero, so it
-    searches r-member ensembles only, by design; it is often the best start
-    for e_d2."""
+    decomposition, then seeded random isometries, start k drawn from
+    default_rng(seed ^ k).  The spectral start's zero rows have zero gradient
+    and stay zero, so it searches r-member ensembles only, by design; it is
+    often the best start for e_d2."""
     r = len(spectral.states)
     n = ENSEMBLE_FACTOR * r
     starts = [np.eye(n, r, dtype=np.complex128)]
-    starts += [_isometry_from_decomposition(dec, spectral, n)
-               for dec in extra_seeds if len(dec.states) <= n]
     while len(starts) < cfg.restarts:
         starts.append(random_isometry(n, r, np.random.default_rng(cfg.seed ^ len(starts))))
     return np.array(starts)
@@ -699,34 +687,31 @@ def _wootters_isometry(comps: np.ndarray) -> np.ndarray:
     return v
 
 
-def _roof_search(rho: DensityMatrix, kind: str, cfg: OptimizerConfig,
-                 extra_seeds: tuple[PureDecomposition, ...] = ()) -> OptResult:
+def _roof_search(rho: DensityMatrix, kind: str, cfg: OptimizerConfig) -> OptResult:
+    """Each exact case gives an isometry over the spectral components, and the
+    zero stage its step count; the descent is the fallback.  Whichever answers,
+    its ensemble is valued and checked once, at the one exit."""
     obj = _RoofObjective(rho.d, kind)
     spectral = spectral_decomposition(rho)
     r = len(spectral.states)
     comps = spectral.members()
+    best_vm, best_conv, best_steps = None, True, 0
     if r == 1:
-        val = obj.of_members(comps)
-        value = None if math.isinf(val) else val
-        return OptResult(value=value, argument_unitary=np.eye(1, dtype=np.complex128),
-                         converged=True, iterations_used=0)
-    if rho.d == 2:
+        best_vm = np.eye(1, dtype=np.complex128)
+    elif rho.d == 2:
         # every d = 2 member term is 2|det A|, whose roof Wootters' ensemble attains
         best_vm = _wootters_isometry(comps)
-        best_val, best_conv, best_steps = obj.of_members(best_vm @ comps), True, 0
-    elif (kind == "e3" and rho.d == 3 and r == 2
-          and (plane := _root_stage(comps)) is not None):
-        best_vm, best_steps = plane, 0
-        best_val, best_conv = obj.of_members(best_vm @ comps), True
-    else:
-        starts = _roof_starts(spectral, cfg, extra_seeds)
+    elif kind == "e3" and rho.d == 3 and r == 2:
+        best_vm = _root_stage(comps)
+    if best_vm is None:
+        starts = _roof_starts(spectral, cfg)
         zero = _zero_stage(comps, starts) if kind == "e3" and rho.d == 3 and r >= 3 else None
         if zero is not None:
             best_vm, best_steps = zero
-            best_val, best_conv = obj.of_members(best_vm @ comps), True
         else:
             runs = _descend(obj, comps, starts, cfg)
-            best_val, best_vm, best_conv, best_steps = min(runs, key=lambda run: run[0])
+            _, best_vm, best_conv, best_steps = min(runs, key=lambda run: run[0])
+    best_val = obj.of_members(best_vm @ comps)
     if math.isinf(best_val):
         return OptResult(value=None, argument_unitary=None, converged=False,
                          iterations_used=0)
@@ -739,9 +724,7 @@ def _roof_search(rho: DensityMatrix, kind: str, cfg: OptimizerConfig,
 
 def cren_upper_bound(rho: DensityMatrix, decomposition: PureDecomposition) -> float:
     """Ensemble-averaged pure negativity; an upper bound on the convex roof."""
-    err = float(np.linalg.norm(decomposition.reconstruct() - rho.mat))
-    if err > RECONSTRUCTION_TOL:
-        raise InvariantError(f"decomposition does not reproduce rho (error {err:.3e})")
+    validated_decomposition(decomposition.weights, decomposition.states, rho)
     return _RoofObjective(rho.d, "neg").of_members(decomposition.members())
 
 
@@ -750,11 +733,10 @@ def cren_estimate(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> Opt
     return _roof_search(rho, "neg", cfg or OptimizerConfig())
 
 
-def e_d2_mixed(rho: DensityMatrix, cfg: OptimizerConfig | None = None,
-               extra_seeds: tuple[PureDecomposition, ...] = ()) -> OptResult:
+def e_d2_mixed(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> OptResult:
     """Searched convex-roof value of e_d2; decompositions containing a
     member of Schmidt rank above three are discarded."""
-    return _roof_search(rho, "e2", cfg or OptimizerConfig(), extra_seeds)
+    return _roof_search(rho, "e2", cfg or OptimizerConfig())
 
 
 def e_d3_mixed(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> OptResult:

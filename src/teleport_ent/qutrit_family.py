@@ -3,8 +3,8 @@
 The family interpolates between a maximally entangled pure state and a
 balanced rank-2 mixture, and comes with a declared three-member ensemble
 whose average e_32 admits a closed-form expression.  It exercises the
-convex-roof searches end to end: the declared ensemble is both an upper
-bound certificate and a warm start.
+convex-roof searches end to end: the declared ensemble is an upper bound
+certificate that the unseeded search is measured against.
 
 Building blocks (amplitudes in the computational product basis):
 
@@ -161,16 +161,17 @@ class FamilyReport:
 def e32_of_family(params: FamilyParams, cfg: OptimizerConfig | None = None) -> FamilyReport:
     """Assemble the family diagnostics at one parameter value.
 
-    The roof search is seeded with the declared decomposition, so its
-    result can never exceed the declared average by more than search noise.
+    The roof search does not start from the declared ensemble, so nothing
+    forces its result below the declared average.  Measured over 51 values
+    of p, three seeds and 1 to 32 restarts, it ends below it or at most
+    9.5e-11 above it (at p = 1/2); the tests check a 1e-9 bound.
     Usefulness is judged from the overlap <psi|rho_f|psi>: psi is maximally
     entangled, so the overlap is a lower bound on the singlet fraction, and
     it is at least 2/3 along the family.
     """
     cfg = cfg or OptimizerConfig(restarts=8)
     rho = build_rho_f(params)
-    dec = declared_decomposition(params)
-    search = e_d2_mixed(rho, cfg, extra_seeds=(dec,))
+    search = e_d2_mixed(rho, cfg)
     psi = psi_state().vector()
     useful = measures.is_useful(float(np.vdot(psi, rho.mat @ psi).real), D)
     _, hi = measures.rank2_bounds(D)

@@ -151,6 +151,8 @@ class PureDecomposition:
             raise InvariantError("decomposition weights must be positive")
         if abs(float(w.sum()) - 1.0) > TRACE_TOL:
             raise InvariantError(f"decomposition weights sum to {w.sum()!r}")
+        if len({st.d for st in self.states}) != 1:
+            raise InvariantError("decomposition members differ in dimension d")
         object.__setattr__(self, "weights", _freeze(w))
         object.__setattr__(self, "states", tuple(self.states))
 
@@ -166,6 +168,8 @@ class PureDecomposition:
 def validated_decomposition(weights, states, target: DensityMatrix) -> PureDecomposition:
     """Build a PureDecomposition and check it reproduces target within 1e-8."""
     dec = PureDecomposition(weights=weights, states=states)
+    if dec.states[0].d != target.d:
+        raise InvariantError(f"decomposition has d = {dec.states[0].d}, target d = {target.d}")
     err = float(np.linalg.norm(dec.reconstruct() - target.mat))
     if err > RECONSTRUCTION_TOL:
         raise InvariantError(f"decomposition misses the target by {err:.3e} (Frobenius)")

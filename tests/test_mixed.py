@@ -96,9 +96,10 @@ def test_cren_upper_bound_validates_and_averages():
     dec = spectral_decomposition(rho)
     ub = cren_upper_bound(rho, dec)
     assert ub >= negativity_mixed(rho) - 1e-8
-    other = spectral_decomposition(random_density_matrix(2, np.random.default_rng(62)))
-    with pytest.raises(InvariantError):
-        cren_upper_bound(rho, other)
+    for other_rho in (random_density_matrix(2, np.random.default_rng(62)),
+                      random_density_matrix(3, np.random.default_rng(62))):
+        with pytest.raises(InvariantError):
+            cren_upper_bound(rho, spectral_decomposition(other_rho))
 
 
 def test_cren_estimate_on_werner():
@@ -247,15 +248,20 @@ def test_two_qubit_roof_reaches_wootters_concurrence():
 
 
 def test_d4_rank_capped_roof_is_none_or_validated():
+    from teleport_ent import random_pure_state
+
     rng = np.random.default_rng(101)
     embedded = np.zeros((4, 4, 4, 4), dtype=complex)
     embedded[:3, :3, :3, :3] = random_density_matrix(3, rng).mat.reshape(3, 3, 3, 3)
     states = [DensityMatrix.from_matrix(embedded.reshape(16, 16))]
     states += [random_density_matrix(4, rng, rank=k) for k in (2, 3, None)]
+    # a pure state of Schmidt rank 4 has no ensemble under the cap either
+    states.append(DensityMatrix.from_pure(random_pure_state(4, np.random.default_rng(3))))
     found = 0
     for rho in states:
         res = e_d2_mixed(rho, FAST)
         if res.value is None:
+            assert (res.argument_unitary, res.converged, res.iterations_used) == (None, False, 0)
             continue
         found += 1
         members = res.argument_unitary @ _spectral_comps(rho)

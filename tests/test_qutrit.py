@@ -100,10 +100,14 @@ def test_search_value_verified_at_pure_endpoint():
     assert rep.useful
 
 
-def test_search_never_beats_declared_by_construction():
-    # declared ensemble seeds the search, so search <= declared + noise
-    for p in (0.2, 0.5):
-        rep = e32_of_family(FamilyParams(p=p), FAST)
+def test_search_stays_below_declared_on_a_p_grid():
+    # The search does not start from the declared ensemble, so nothing forces
+    # it below the declared average; this checks that it ends there.  1e-9 is
+    # the benchmark's FEF_TOL for the same check, about ten times the largest
+    # excess measured over p, seeds and 1 to 32 restarts (9.5e-11 at p = 0.5,
+    # where no restart ends below the declared value).
+    for p in np.linspace(0.0, 0.5, 26):
+        rep = e32_of_family(FamilyParams(p=float(p)), FAST)
         assert rep.search.value <= rep.declared_value + 1e-9
         assert rep.search.value > 0.0
 

@@ -83,10 +83,13 @@ def test_spectral_decomposition_reconstructs():
 def test_validated_decomposition_rejects_wrong_target():
     rng = np.random.default_rng(23)
     rho = random_density_matrix(2, rng)
-    other = random_density_matrix(2, np.random.default_rng(24))
     dec = spectral_decomposition(rho)
-    with pytest.raises(InvariantError):
-        validated_decomposition(dec.weights, dec.states, other)
+    mixed_d = (dec.states[0], bell_like(3, 3)) * 2  # one member per weight, d = 2 and 3
+    for states, target in ((dec.states, random_density_matrix(2, np.random.default_rng(24))),
+                           (dec.states, random_density_matrix(3, np.random.default_rng(24))),
+                           (mixed_d, rho)):
+        with pytest.raises(InvariantError):
+            validated_decomposition(dec.weights, states, target)
 
 
 def test_hjw_identity_mix_recovers_spectral():
