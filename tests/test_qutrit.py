@@ -112,6 +112,14 @@ def test_search_stays_below_declared_on_a_p_grid():
         assert rep.search.value > 0.0
 
 
+def test_search_reaches_the_declared_ensemble_at_one_half():
+    # at p = 1/2 the declared ensemble (chi0 at 9/10, |22> at 1/10) is optimal:
+    # the hull stage ends at its value instead of the descent's stop-rule
+    # noise, 9.5e-11 above it
+    rep = e32_of_family(FamilyParams(p=0.5), FAST)
+    assert rep.search.value <= rep.declared_value + 1e-12
+
+
 def test_family_states_stay_rank2_and_useful():
     for p in (0.0, 0.25, 0.5):
         rho = build_rho_f(FamilyParams(p=float(p)))
