@@ -26,6 +26,13 @@ Two search engines live here:
   range and one more point give a four-member ensemble whose supporting
   plane makes it optimal, so its value is the roof itself; when the
   construction does not apply, the descent runs as it does without it.
+  The e_d2 roof at d = 3 and spectral rank 2 first gets a hull stage
+  (`_hull_stage`): the member value on the Bloch sphere of the range is
+  sqrt(3 G(n)) with G quadratic, and an LP over a mesh and the range's
+  product states, polished by Newton on its KKT conditions, gives an
+  ensemble of at most four members whose supporting plane is checked on
+  the sphere; when it is accepted its value is the roof, and otherwise
+  the descent runs as it does without it.
 
 Both run their restarts as one stack, (R, d, d) unitaries or (R, n, r)
 isometries, so one numpy call serves every restart.  A restart leaves the
@@ -672,8 +679,8 @@ _HULL_MESH = np.vstack([
 _HULL_SPACING = math.sqrt(4.0 * math.pi / _HULL_MESH_POINTS)
 _HULL_MERGE = 3.0 * _HULL_SPACING
 _HULL_LP_ITERS = 200
+# reduced costs, pivot entries and support weights below this are zero
 _HULL_LP_TOL = 1e-12
-_HULL_WEIGHT_FLOOR = 1e-12
 _HULL_KKT_ITERS = 20
 _HULL_KKT_TOL = 1e-14
 _HULL_MAX_STEP = 0.5
@@ -857,7 +864,7 @@ def _sphere_hull(jet, special: np.ndarray, lam: np.ndarray) -> np.ndarray | None
     if lp is None:
         return None
     basis, q, y = lp
-    keep = q > _HULL_WEIGHT_FLOOR
+    keep = q > _HULL_LP_TOL
     basis, q = basis[keep], q[keep]
     cone = basis >= len(_HULL_MESH)
     # free support points within _HULL_MERGE of an earlier one join it, at their weighted mean
@@ -1022,7 +1029,17 @@ def cren_estimate(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> Opt
 
 def e_d2_mixed(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> OptResult:
     """Searched convex-roof value of e_d2; decompositions containing a
-    member of Schmidt rank above three are discarded."""
+    member of Schmidt rank above three are discarded.
+
+    At d = 3 and spectral rank 2 the hull stage runs first.  When its
+    ensemble has weights >= 0 and its supporting plane b.n + c stays below
+    the member value on the Bloch sphere of the range to 1e-12, the result
+    is that ensemble of at most four members, with converged=True and
+    iterations_used=0, and its value is the roof, not only an upper bound.
+    A range of product states only, an LP or KKT solve that fails, a
+    negative weight or a plane that the member value falls below leaves the
+    result to the descent, unchanged.
+    """
     return _roof_search(rho, "e2", cfg or OptimizerConfig())
 
 

@@ -161,10 +161,11 @@ class FamilyReport:
 def e32_of_family(params: FamilyParams, cfg: OptimizerConfig | None = None) -> FamilyReport:
     """Assemble the family diagnostics at one parameter value.
 
-    The roof search does not start from the declared ensemble, so nothing
-    forces its result below the declared average.  Measured over 51 values
-    of p, three seeds and 1 to 32 restarts, it ends below it or at most
-    9.5e-11 above it (at p = 1/2); the tests check a 1e-9 bound.
+    For p in (0, 1/2] the state has rank 2, and the roof search's hull
+    stage answers with the roof itself: |22> and the point where the line
+    from it through rho's Bloch vector meets the sphere.  Over 500 values
+    of p it ends at most 3.3e-16 above the declared average, which is the
+    roof at p = 1/2; the tests check 1e-12 there and 1e-9 on a grid.
     Usefulness is judged from the overlap <psi|rho_f|psi>: psi is maximally
     entangled, so the overlap is a lower bound on the singlet fraction, and
     it is at least 2/3 along the family.
