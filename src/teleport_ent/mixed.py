@@ -700,7 +700,9 @@ _FIT_I, _FIT_J = (ix[1:] for ix in np.triu_indices(4))
 
 
 def _tangent_bases(n: np.ndarray) -> np.ndarray:
-    """(k, 3, 2) orthonormal bases of the tangent planes at the unit rows of n."""
+    """(k, 3, 2) orthonormal bases of the tangent planes at the unit rows of n.
+    `_root_newton` builds the same basis for one point with np.cross, which
+    rounds differently; it keeps its own so that e_d3 values keep their bits."""
     pick = np.eye(3)[np.argmin(np.abs(n), axis=1)]
     b1 = pick - (pick * n).sum(axis=1)[:, None] * n
     b1 /= np.sqrt((b1 * b1).sum(axis=1))[:, None]
