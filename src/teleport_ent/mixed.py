@@ -27,7 +27,7 @@ Two search engines live here:
   plane makes it optimal, so its value is the roof itself; when the
   construction does not apply, the descent runs as it does without it.
   The e_d2 roof at d = 3 and spectral rank 2 first gets a hull stage
-  (`_hull_stage`): the member value on the Bloch sphere of the range is
+  (`hull.e2_stage`): the member value on the Bloch sphere of the range is
   sqrt(3 G(n)) with G quadratic, and an LP over a mesh and the range's
   product states, polished by Newton on its KKT conditions, gives an
   ensemble of at most four members whose supporting plane is checked on
@@ -646,271 +646,6 @@ def _root_stage(comps: np.ndarray) -> np.ndarray | None:
     return _ensemble_isometry(q, np.vstack([x, _bloch_state(n0)]), lam)
 
 
-# At d = 3 the e_d2 members of a rank-2 rho are points n of the Bloch sphere
-# of its range too.  The 2 x 2 minors of a phi1 + b phi2 are binary quadratics
-# a^2 X + b^2 Z + ab Y, so sum |C|^2 of a unit member is a quadratic
-# G(n) = (1, n)^T K (1, n) in its Bloch vector, and the member value is
-# g(n) = sqrt(3 G(n)).  g has a cone point, g = 0, at each product state of
-# the range.  The roof at r is min sum q_k g(n_k) over q >= 0 with
-# sum q_k (n_k, 1) = (r, 1), and its dual is max b.r + c over the planes with
-# b.n + c <= g(n) on the sphere (Osborne, PRA 72, 022309 (2005)).
-# _sphere_hull solves that LP over a fixed mesh and the cone points, then
-# Newton-solves the KKT conditions from its support; the cone points stay
-# fixed.  When the weights are >= 0 and c is within _HULL_GAP_TOL of the
-# least g - b.n on the sphere, the plane supports g, so primal = dual and
-# the ensemble's value is the roof.
-#
-# The LP starts from a regular tetrahedron with a vertex at the north pole,
-# which holds every r = (0, 0, z), -1/3 < z < 1, strictly inside: all four
-# starting weights are positive.  The 600-point Fibonacci mesh after it is
-# about 0.145 apart; the LP's support points near one member are mesh
-# neighbours, so points closer than three spacings merge.  Over 2000 seeded
-# rank-2 states (random_density_matrix(3, default_rng(s), rank=2)) and 50
-# points of the qutrit family every state was accepted with two members,
-# the KKT solve took about five steps, and c - min(g - b.n) was at most
-# 1.0e-14, a hundredth of _HULL_GAP_TOL.
-_HULL_MESH_POINTS = 600
-_HULL_MESH = np.vstack([
-    [0.0, 0.0, 1.0],
-    np.column_stack([math.sqrt(8.0) / 3.0 * np.cos(2.0 * math.pi / 3.0 * np.arange(3)),
-                     math.sqrt(8.0) / 3.0 * np.sin(2.0 * math.pi / 3.0 * np.arange(3)),
-                     np.full(3, -1.0 / 3.0)]),
-    _fibonacci_sphere(_HULL_MESH_POINTS)])
-_HULL_SPACING = math.sqrt(4.0 * math.pi / _HULL_MESH_POINTS)
-_HULL_MERGE = 3.0 * _HULL_SPACING
-_HULL_LP_ITERS = 200
-# reduced costs, pivot entries and support weights below this are zero
-_HULL_LP_TOL = 1e-12
-_HULL_KKT_ITERS = 20
-_HULL_KKT_TOL = 1e-14
-_HULL_MAX_STEP = 0.5
-_HULL_MIN_STARTS = 24
-_HULL_MIN_ITERS = 8
-_HULL_STEP_TOL = 1e-8
-_HULL_GAP_TOL = 1e-12
-# The minors of unit states are at most 1; below _FLAT_TOL every member is a
-# product state.  A root whose nine minors are at most _PRODUCT_TOL of the
-# largest coefficient is a product state of the range.
-_FLAT_TOL = 1e-12
-_PRODUCT_TOL = 1e-10
-# G is fitted on 12 unit rows to the nine quadratics in n other than 1,
-# which equals x^2 + y^2 + z^2 on the sphere
-_FIT_ROWS = np.array([_bloch_state(n) for n in _fibonacci_sphere(12)])
-_FIT_I, _FIT_J = (ix[1:] for ix in np.triu_indices(4))
-
-
-def _tangent_bases(n: np.ndarray) -> np.ndarray:
-    """(k, 3, 2) orthonormal bases of the tangent planes at the unit rows of n.
-    `_root_newton` builds the same basis for one point with np.cross, which
-    rounds differently; it keeps its own so that e_d3 values keep their bits."""
-    pick = np.eye(3)[np.argmin(np.abs(n), axis=1)]
-    b1 = pick - (pick * n).sum(axis=1)[:, None] * n
-    b1 /= np.sqrt((b1 * b1).sum(axis=1))[:, None]
-    b2 = n[:, [1, 2, 0]] * b1[:, [2, 0, 1]] - n[:, [2, 0, 1]] * b1[:, [1, 2, 0]]
-    return np.stack([b1, b2], axis=2)
-
-
-def _e2_sphere(phi: np.ndarray):
-    """The e_d2 member value on the Bloch sphere of the range of the unit
-    (2, 3, 3) components phi, as jet(n) -> (g, gradient, Hessian) in R^3 at
-    the unit rows of n, and the range's product states as unit rows (a, b);
-    None when every member is a product state.
-
-    The coefficients X, Z, Y of a^2, b^2, ab are the cofactors of phi1, phi2
-    and phi1 + phi2 less the first two.  The product states are the roots of
-    the minor with the largest coefficients at which all nine vanish."""
-    xzy = _cofactors(np.stack([phi[0], phi[1], phi[0] + phi[1]])).reshape(3, 9)
-    xzy[2] -= xzy[0] + xzy[1]
-    scale = np.abs(xzy).max()
-    if scale <= _FLAT_TOL:
-        return None
-
-    def minors(x: np.ndarray) -> np.ndarray:
-        return np.column_stack([x[:, 0] ** 2, x[:, 1] ** 2, x[:, 0] * x[:, 1]]) @ xzy
-
-    e = np.column_stack([np.ones(len(_FIT_ROWS)), _bloch_vectors(_FIT_ROWS)])
-    coef = np.linalg.lstsq(e[:, _FIT_I] * e[:, _FIT_J],
-                           (np.abs(minors(_FIT_ROWS)) ** 2).sum(axis=1), rcond=None)[0]
-    kmat = np.zeros((4, 4))
-    kmat[_FIT_I, _FIT_J] = 0.5 * coef
-    kmat += kmat.T
-
-    def jet(n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        kn = kmat[0, 1:] + n @ kmat[1:, 1:]
-        g = np.sqrt(3.0 * np.maximum(n @ kmat[0, 1:] + (n * kn).sum(axis=1), 0.0))
-        inv = 1.0 / np.where(g > 0.0, g, np.inf)
-        grad = 3.0 * kn * inv[:, None]
-        hess = (3.0 * kmat[1:, 1:] - grad[:, :, None] * grad[:, None, :]) * inv[:, None, None]
-        return g, grad, hess
-
-    roots = np.roots(xzy[[0, 2, 1], np.argmax(np.abs(xzy).sum(axis=0))])
-    x = _unit_rows(roots)
-    if len(roots) < 2:
-        # a vanishing a^2 coefficient puts a root at b = 0
-        x = np.vstack([x, [1.0, 0.0]])
-    x = x[np.linalg.norm(minors(x), axis=1) <= _PRODUCT_TOL * scale]
-    if len(x) == 2 and np.linalg.norm(np.subtract(*_bloch_vectors(x))) < _ROOT_SPLIT:
-        x = x[:1]
-    return jet, x
-
-
-def _sphere_minima(jet, b: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """f = g - b.n after Riemannian Newton steps from every unit row of n at
-    once, until every step is below _HULL_STEP_TOL (what is left is of its
-    square) or after _HULL_MIN_ITERS.  The step is -H^-1 grad where the
-    Hessian H = B^T hess B - (n.e) I (e the gradient of f in R^3) is
-    positive definite and -grad elsewhere, at most _HULL_MAX_STEP long."""
-    for _ in range(_HULL_MIN_ITERS):
-        _, grad, hess = jet(n)
-        e = grad - b
-        basis = _tangent_bases(n)
-        bt = basis.transpose(0, 2, 1)
-        gr = (bt @ e[:, :, None])[:, :, 0]
-        h = bt @ hess @ basis - (n * e).sum(axis=1)[:, None, None] * np.eye(2)
-        det = h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0]
-        pd = (h[:, 0, 0] > 0.0) & (det > 0.0)
-        newton = np.column_stack([h[:, 0, 1] * gr[:, 1] - h[:, 1, 1] * gr[:, 0],
-                                  h[:, 1, 0] * gr[:, 0] - h[:, 0, 0] * gr[:, 1]])
-        step = np.where(pd[:, None], newton / np.where(pd, det, 1.0)[:, None], -gr)
-        length = np.sqrt((step * step).sum(axis=1))
-        step *= (_HULL_MAX_STEP / np.maximum(length, _HULL_MAX_STEP))[:, None]
-        n = n + (basis @ step[:, :, None])[:, :, 0]
-        n /= np.sqrt((n * n).sum(axis=1))[:, None]
-        if length.max() <= _HULL_STEP_TOL:
-            break
-    return jet(n)[0] - n @ b
-
-
-def _hull_lp(pts: np.ndarray, vals: np.ndarray, r: np.ndarray):
-    """min sum q vals over q >= 0 with sum q (pts, 1) = (r, 1), by the revised
-    simplex (Dantzig's rule) from the first four points, a tetrahedron that
-    holds r: the optimal basis, its weights and the dual (b, c), or None when
-    _HULL_LP_ITERS pivots do not reach it."""
-    a = np.vstack([pts.T, np.ones(len(pts))])
-    rhs = np.append(r, 1.0)
-    basis = np.arange(4)
-    for _ in range(_HULL_LP_ITERS):
-        inv = np.linalg.inv(a[:, basis])
-        q, y = inv @ rhs, vals[basis] @ inv
-        red = vals - y @ a
-        j = np.argmin(red)
-        if red[j] >= -_HULL_LP_TOL:
-            return basis, q, y
-        w = inv @ a[:, j]
-        up = w > _HULL_LP_TOL
-        ratio = np.where(up, np.maximum(q, 0.0) / np.where(up, w, 1.0), np.inf)
-        basis[np.argmin(ratio)] = j
-    return None
-
-
-def _hull_kkt(jet, fixed: np.ndarray, free: np.ndarray, q: np.ndarray,
-              y: np.ndarray, r: np.ndarray):
-    """Newton on the KKT conditions of the hull LP with support points fixed
-    (cone points, g = 0) and free, weights q in that order and dual
-    y = (b, c): (points, q, y) once every residual is below _HULL_KKT_TOL,
-    or None when the plane is not determined (the support's heights and the
-    free points' slopes are fewer than its four unknowns), a step is
-    singular or longer than _HULL_MAX_STEP, or the steps run out.
-
-    The unknowns are a tangent step per free point, y and q; the residuals
-    B^T (grad g - b) per free point, g - b.n - c per point, and
-    sum q (n, 1) - (r, 1)."""
-    nf, k = len(free), len(fixed) + len(free)
-    if len(fixed) + 3 * nf < 4:
-        return None
-    size = 2 * nf + k + 4
-    ycol, qcol = slice(2 * nf, 2 * nf + 4), slice(2 * nf + 4, size)
-    for _ in range(_HULL_KKT_ITERS):
-        g, grad, hess = jet(free)
-        e = grad - y[:3]
-        basis = _tangent_bases(free)
-        pts = np.vstack([fixed, free])
-        res = np.concatenate([(basis.transpose(0, 2, 1) @ e[:, :, None]).ravel(),
-                              np.concatenate([np.zeros(len(fixed)), g]) - pts @ y[:3] - y[3],
-                              q @ pts - r, [q.sum() - 1.0]])
-        if np.abs(res).max() <= _HULL_KKT_TOL:
-            return pts, q, y
-        jac = np.zeros((size, size))
-        for i in range(nf):
-            rows = slice(2 * i, 2 * i + 2)
-            jac[rows, rows] = basis[i].T @ hess[i] @ basis[i] - (free[i] @ e[i]) * np.eye(2)
-            jac[rows, 2 * nf:2 * nf + 3] = -basis[i].T
-            jac[2 * nf + len(fixed) + i, rows] = e[i] @ basis[i]
-            jac[2 * nf + k:2 * nf + k + 3, rows] = q[len(fixed) + i] * basis[i]
-        jac[2 * nf:2 * nf + k, ycol] = np.column_stack([-pts, -np.ones(k)])
-        jac[2 * nf + k:, qcol] = np.vstack([pts.T, np.ones(k)])
-        try:
-            step = np.linalg.solve(jac, -res)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.abs(step).max() <= _HULL_MAX_STEP:
-            return None
-        free = free + (basis @ step[:2 * nf].reshape(nf, 2, 1))[:, :, 0]
-        free /= np.sqrt((free * free).sum(axis=1))[:, None]
-        y, q = y + step[ycol], q + step[qcol]
-    return None
-
-
-def _sphere_hull(jet, special: np.ndarray, lam: np.ndarray) -> np.ndarray | None:
-    """The isometry of the optimal ensemble of the member value jet (see
-    `_e2_sphere`) over the rank-2 spectral weights lam, with the cone points
-    special (unit rows (a, b), g = 0), at most four members; None when the
-    LP does not end, the KKT solve fails, a weight is negative, or g - b.n
-    falls more than _HULL_GAP_TOL below c somewhere on the sphere: on the
-    mesh, at a cone point, or at the end of Newton from the mesh's lowest
-    points."""
-    m = _bloch_vectors(special)
-    r = np.array([0.0, 0.0, (lam[0] - lam[1]) / (lam[0] + lam[1])])
-    g_mesh = jet(_HULL_MESH)[0]
-    lp = _hull_lp(np.vstack([_HULL_MESH, m]), np.concatenate([g_mesh, np.zeros(len(m))]), r)
-    if lp is None:
-        return None
-    basis, q, y = lp
-    keep = q > _HULL_LP_TOL
-    basis, q = basis[keep], q[keep]
-    cone = basis >= len(_HULL_MESH)
-    # free support points within _HULL_MERGE of an earlier one join it, at their weighted mean
-    free, free_q = [], []
-    for n, w in zip(_HULL_MESH[basis[~cone]], q[~cone]):
-        near = [i for i, p in enumerate(free) if np.linalg.norm(p / free_q[i] - n) < _HULL_MERGE]
-        if near:
-            free[near[0]] = free[near[0]] + w * n
-            free_q[near[0]] += w
-        else:
-            free.append(w * n)
-            free_q.append(w)
-    fixed = basis[cone] - len(_HULL_MESH)
-    kkt = _hull_kkt(jet, m[fixed], np.array([p / np.linalg.norm(p) for p in free]).reshape(-1, 3),
-                    np.concatenate([q[cone], free_q]), y, r)
-    if kkt is None:
-        return None
-    pts, q, y = kkt
-    if np.any(q < 0.0):
-        return None
-    b, c = y[:3], y[3]
-    f_mesh = g_mesh - _HULL_MESH @ b
-    # from the mesh points next to a cone point Newton would circle it, and
-    # the cone point's own value is in the minimum already
-    starts = np.flatnonzero((_HULL_MESH @ m.T).max(axis=1, initial=-1.0)
-                            < math.cos(_HULL_SPACING))
-    starts = starts[np.argsort(f_mesh[starts])[:_HULL_MIN_STARTS]]
-    low = min(f_mesh.min(), c, _sphere_minima(jet, b, _HULL_MESH[starts]).min(),
-              (-(m @ b)).min(initial=math.inf))
-    if c - low > _HULL_GAP_TOL:
-        return None
-    states = np.vstack([special[fixed]] + [_bloch_state(n) for n in pts[len(fixed):]])
-    return _ensemble_isometry(q, states, lam)
-
-
-def _hull_stage(comps: np.ndarray) -> np.ndarray | None:
-    """The isometry of the optimal ensemble of a d = 3, rank-2 e_d2 roof over
-    the spectral components comps (`_sphere_hull`), or None when it declines
-    or every member of the range is a product state."""
-    lam = (comps * comps.conj()).real.sum(axis=1)
-    sphere = _e2_sphere((comps / np.sqrt(lam)[:, None]).reshape(2, 3, 3))
-    return None if sphere is None else _sphere_hull(*sphere, lam)
-
-
 def _roof_starts(spectral: PureDecomposition, cfg: OptimizerConfig) -> np.ndarray:
     """The (R, ENSEMBLE_FACTOR r, r) stack of descent starts: the spectral
     decomposition, then seeded random isometries, start k drawn from
@@ -998,7 +733,9 @@ def _roof_search(rho: DensityMatrix, kind: str, cfg: OptimizerConfig) -> OptResu
     elif kind == "e3" and rho.d == 3 and r == 2:
         best_vm = _root_stage(comps)
     elif kind == "e2" and rho.d == 3 and r == 2:
-        best_vm = _hull_stage(comps)
+        # imported here because the hull module builds on this one
+        from . import hull
+        best_vm = hull.e2_stage(comps)
     if best_vm is None:
         starts = _roof_starts(spectral, cfg)
         zero = _zero_stage(comps, starts) if kind == "e3" and rho.d == 3 and r >= 3 else None

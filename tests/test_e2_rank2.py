@@ -23,7 +23,7 @@ from teleport_ent import (
     random_density_matrix,
     spectral_decomposition,
 )
-from teleport_ent import mixed
+from teleport_ent import hull, mixed
 
 CFG = OptimizerConfig(restarts=8)
 E2 = mixed._RoofObjective(3, "e2")
@@ -60,14 +60,14 @@ def seeded(seed):
 def search_with_plane(rho, monkeypatch):
     """e_d2_mixed(rho) and the dual (b, c) of the stage's KKT solve."""
     planes = []
-    kkt = mixed._hull_kkt
+    kkt = hull._kkt
 
     def recording(*args):
         out = kkt(*args)
         planes.append(None if out is None else out[2])
         return out
 
-    monkeypatch.setattr(mixed, "_hull_kkt", recording)
+    monkeypatch.setattr(hull, "_kkt", recording)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = e_d2_mixed(rho, CFG)
@@ -182,7 +182,7 @@ def assert_descent_result(rho, res):
 
 
 def test_declined_stage_leaves_the_descent_unchanged(monkeypatch):
-    monkeypatch.setattr(mixed, "_hull_stage", lambda comps: None)
+    monkeypatch.setattr(hull, "e2_stage", lambda comps: None)
     rho = seeded(12)
     res = e_d2_mixed(rho, CFG)
     assert res.value == PARENT_E2[12]
@@ -209,7 +209,7 @@ def test_degenerate_ranges_decline_without_warnings(make):
     comps = spectral_decomposition(rho).members()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert mixed._hull_stage(comps) is None
+        assert hull.e2_stage(comps) is None
         res = e_d2_mixed(rho, CFG)
     assert res.value <= 1e-12
     assert_descent_result(rho, res)
@@ -223,25 +223,25 @@ def unit_components(rho):
 def test_product_states_of_the_range_are_its_cone_points():
     # the qutrit family's range holds one product state, |22>
     phi = unit_components(build_rho_f(FamilyParams(p=0.3)))
-    _, special = mixed._e2_sphere(phi)
+    _, special = hull._e2_sphere(phi)
     assert len(special) == 1
     assert abs(abs(special[0] @ phi.reshape(2, 9) @ PRODUCT_22) - 1.0) <= 1e-12
-    assert mixed._e2_sphere(unit_components(product_span())) is None
+    assert hull._e2_sphere(unit_components(product_span())) is None
 
 
 def test_plane_under_the_hull_fails_the_gap_test(monkeypatch):
     # a plane raised by 1e-9 cuts g near its support points
-    kkt = mixed._hull_kkt
+    kkt = hull._kkt
 
     def raised(*args):
         out = kkt(*args)
         return None if out is None else (out[0], out[1], out[2] + np.array([0.0, 0.0, 0.0, 1e-9]))
 
-    monkeypatch.setattr(mixed, "_hull_kkt", raised)
+    monkeypatch.setattr(hull, "_kkt", raised)
     rho = seeded(7)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert mixed._hull_stage(spectral_decomposition(rho).members()) is None
+        assert hull.e2_stage(spectral_decomposition(rho).members()) is None
         res = e_d2_mixed(rho, CFG)
     assert res.value == PARENT_E2[7]
     assert_descent_result(rho, res)
