@@ -181,7 +181,7 @@ def _lp(pts: np.ndarray, vals: np.ndarray, r: np.ndarray):
 
 
 def _kkt(jet, fixed: np.ndarray, free: np.ndarray, q: np.ndarray,
-              y: np.ndarray, r: np.ndarray):
+         y: np.ndarray, r: np.ndarray):
     """Newton on the KKT conditions of the hull LP with support points fixed
     (cone points, g = 0) and free, weights q in that order and dual
     y = (b, c): (points, q, y) once every residual is below _KKT_TOL,
