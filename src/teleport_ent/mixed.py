@@ -21,18 +21,12 @@ Two search engines live here:
   sum |det A_i|^2 to 1e-30, its ensemble's e_d3, at most 2.1e-9 and
   usually near 5e-11, is the value and the descent does not run; when every
   restart stalls, the descent runs from the same starts and returns what
-  it returns without the test.  At d = 3 and spectral rank 2 the e_d3 roof
-  first gets a root stage (`_root_stage`): the three zeros of det on the
-  range and one more point give a four-member ensemble whose supporting
-  plane makes it optimal, so its value is the roof itself; when the
-  construction does not apply, the descent runs as it does without it.
-  The e_d2 roof at d = 3 and spectral rank 2 first gets a hull stage
-  (`hull.e2_stage`): the member value on the Bloch sphere of the range is
-  sqrt(3 G(n)) with G quadratic, and an LP over a mesh and the range's
-  product states, polished by Newton on its KKT conditions, gives an
-  ensemble of at most four members whose supporting plane is checked on
-  the sphere; when it is accepted its value is the roof, and otherwise
-  the descent runs as it does without it.
+  it returns without the test.  The e_d2 and e_d3 roofs at d = 3 and
+  spectral rank 2 first get a hull stage (`hull.rank2_stage`): an ensemble
+  of at most four members from the convex hull of the member value on the
+  Bloch sphere of the range, whose supporting plane is checked on the
+  sphere; when it is accepted its value is the roof, and otherwise the
+  descent runs as it does without it.
 
 Both run their restarts as one stack, (R, d, d) unitaries or (R, n, r)
 isometries, so one numpy call serves every restart.  A restart leaves the
@@ -478,174 +472,6 @@ def _zero_stage(comps: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, int] | No
     return None
 
 
-# At d = 3 a rank-2 rho = l1 |phi1><phi1| + l2 |phi2><phi2| has members
-# psi = a phi1 + b phi2, one per point n of the Bloch sphere of its range, and
-# r = (0, 0, (l1 - l2)/(l1 + l2)) is the mean of every ensemble's points.
-# det(a Phi1 + b Phi2) is a binary cubic, and with its three roots at the
-# points m_k the member value is g(n) = 3|det psi|^(2/3) = G prod_k (1 - m_k.n)^(1/3).
-# g vanishes at the m_k, so with h(n) = nu.(n - m1) on the side of their
-# plane that holds r and s = min g/h there, s h <= g on the whole sphere,
-# and roof(r) >= s h(r).  When r lies in the tetrahedron (m1, m2, m3, n0),
-# n0 the minimizer of g/h, its barycentric weights give an ensemble of
-# value q4 g(n0) = s h(r): the roof (Osborne, PRA 72, 022309 (2005);
-# Lohmayer, Osterloh, Siewert & Uhlmann, PRL 97, 260502 (2006)).
-# _root_stage minimizes F = log(g/h) + const from the best point of a fixed
-# Fibonacci mesh by Riemannian Newton steps.  Roots closer than _ROOT_SPLIT
-# count as a repeated root; a double root splits by about 1e-8 in rounding.
-# A leading coefficient below _ROOT_AT_INFINITY relative puts a root at b = 0
-# (|a/b| above 1e100), and an identically zero cubic has one there too.
-_ROOT_MESH_POINTS = 2000
-_ROOT_SPLIT = 1e-6
-_ROOT_AT_INFINITY = 1e-100
-_ROOT_F_TOL = 1e-15
-_ROOT_ITERS = 30
-
-
-def _fibonacci_sphere(n: int) -> np.ndarray:
-    """n nearly evenly spread unit vectors, one per band of equal area."""
-    k = np.arange(n) + 0.5
-    z = 1.0 - 2.0 * k / n
-    phi = math.pi * (3.0 - math.sqrt(5.0)) * k
-    rad = np.sqrt(1.0 - z * z)
-    return np.column_stack([rad * np.cos(phi), rad * np.sin(phi), z])
-
-
-def _log_ratio(pts: np.ndarray, m: np.ndarray, nu: np.ndarray,
-               c: float) -> np.ndarray:
-    """F = sum_k log(1 - m_k.n)/3 - log(nu.n - c) at the unit rows n of pts;
-    inf outside the cap and at the roots."""
-    u, h = 1.0 - pts @ m.T, pts @ nu - c
-    ok = (h > 0.0) & (u.min(axis=1) > 0.0)
-    f = np.full(len(pts), np.inf)
-    f[ok] = np.log(u[ok]).sum(axis=1) / 3.0 - np.log(h[ok])
-    return f
-
-
-def _root_newton(m: np.ndarray, nu: np.ndarray, c: float, n: np.ndarray) -> np.ndarray | None:
-    """Riemannian Newton on F from n: the minimizer, or None when no step
-    lowers F or the steps run out first.
-
-    With u_k = 1 - m_k.n and h = nu.n - c, the Euclidean gradient of F is
-    e = -sum_k m_k/(3 u_k) - nu/h and its Hessian -sum_k m_k m_k^T/(3 u_k^2)
-    + nu nu^T/h^2; on the sphere the Hessian in a tangent basis B is
-    H = B^T hess B - (n.e) I.  Where H is positive definite the step is
-    -H^-1 grad, and n is the minimizer once the predicted fall of F,
-    grad^T H^-1 grad / 2, is below F's rounding, _ROOT_F_TOL max(1, |F|);
-    elsewhere the step is -grad.  A step is halved until it lowers F, up to
-    that rounding."""
-    f = _log_ratio(n[None], m, nu, c)[0]
-    for _ in range(_ROOT_ITERS):
-        u, h = 1.0 - m @ n, nu @ n - c
-        e = -(m.T @ (1.0 / u)) / 3.0 - nu / h
-        hess = -(m.T / (3.0 * u * u)) @ m + np.outer(nu, nu) / (h * h)
-        pick = np.eye(3)[np.argmin(np.abs(n))]
-        b1 = pick - (pick @ n) * n
-        b1 /= np.linalg.norm(b1)
-        basis = np.column_stack([b1, np.cross(n, b1)])
-        grad = basis.T @ e
-        hess2 = basis.T @ hess @ basis - (n @ e) * np.eye(2)
-        slack = _ROOT_F_TOL * max(1.0, abs(f))
-        if np.linalg.eigvalsh(hess2)[0] > 0.0:
-            step = -np.linalg.solve(hess2, grad)
-            if -(grad @ step) <= slack:
-                return n
-        else:
-            step = -grad
-        t = 1.0
-        while t >= _MIN_STEP:
-            trial = n + t * (basis @ step)
-            trial /= np.linalg.norm(trial)
-            f_try = _log_ratio(trial[None], m, nu, c)[0]
-            if f_try < f + slack:
-                break
-            t *= 0.5
-        else:
-            return None
-        n, f = trial, f_try
-    return None
-
-
-def _unit_rows(t: np.ndarray) -> np.ndarray:
-    """The points (t : 1) of the projective line as unit rows (a, b), scaled
-    by 1/t past |t| = 1."""
-    big = np.abs(t) > 1.0
-    x = np.column_stack([t, np.ones(len(t), dtype=np.complex128)])
-    x[big] = np.column_stack([np.ones(big.sum()), 1.0 / t[big]])
-    x /= np.linalg.norm(x, axis=1)[:, None]
-    return x
-
-
-def _bloch_vectors(x: np.ndarray) -> np.ndarray:
-    """Bloch vectors of the unit rows (a, b) of x: (2 Re a*b, 2 Im a*b, |a|^2 - |b|^2)."""
-    ab = x[:, 0].conj() * x[:, 1]
-    return np.column_stack([2.0 * ab.real, 2.0 * ab.imag,
-                            (x[:, 0] * x[:, 0].conj() - x[:, 1] * x[:, 1].conj()).real])
-
-
-def _bloch_state(n: np.ndarray) -> np.ndarray:
-    """The unit row (a, b) of Bloch vector n, up to phase: (1 + z, x + iy) or
-    (x - iy, 1 - z) normalized, whichever keeps away from its zero."""
-    x0 = (np.array([1.0 + n[2], n[0] + 1j * n[1]]) if n[2] >= 0.0 else
-          np.array([n[0] - 1j * n[1], 1.0 - n[2]]))
-    return x0 / np.linalg.norm(x0)
-
-
-def _ensemble_isometry(q: np.ndarray, states: np.ndarray, lam: np.ndarray) -> np.ndarray | None:
-    """The isometry over the spectral components (weights lam) whose members
-    are the unit range states (rows (a, b)) with weights q, or None when it
-    leaves the manifold by more than MANIFOLD_TOL, that is when the states'
-    Bloch vectors do not average to r under q."""
-    v = np.sqrt(q * lam.sum())[:, None] * states / np.sqrt(lam)
-    if np.abs(v.conj().T @ v - np.eye(2)).max() > MANIFOLD_TOL:
-        return None
-    return v
-
-
-def _root_stage(comps: np.ndarray) -> np.ndarray | None:
-    """The (4, 2) isometry of the supporting-plane ensemble of a d = 3,
-    rank-2 e_d3 roof over the spectral components comps, or None when the
-    construction does not apply: a cubic that vanishes identically, a root
-    at b = 0 or a repeated one, no mesh point in the cap, a Newton run that
-    does not converge, or r outside the tetrahedron (some weight q_k < 0)."""
-    lam = (comps * comps.conj()).real.sum(axis=1)
-    phi = (comps / np.sqrt(lam)[:, None]).reshape(2, 3, 3)
-    cof = _cofactors(phi)
-    cubic = [(phi[0, 0] * cof[0, 0]).sum(), (cof[0] * phi[1]).sum(),
-             (cof[1] * phi[0]).sum(), (phi[1, 0] * cof[1, 0]).sum()]
-    if abs(cubic[0]) <= _ROOT_AT_INFINITY * np.abs(cubic).max():
-        return None
-    x = _unit_rows(np.roots(cubic))
-    m = _bloch_vectors(x)
-    if min(np.linalg.norm(m[i] - m[j]) for i, j in ((0, 1), (0, 2), (1, 2))) < _ROOT_SPLIT:
-        return None
-    r = np.array([0.0, 0.0, (lam[0] - lam[1]) / (lam[0] + lam[1])])
-    nu = np.cross(m[1] - m[0], m[2] - m[0])
-    nu /= np.linalg.norm(nu)
-    if nu @ (r - m[0]) < 0.0:
-        nu = -nu
-    c = nu @ m[0]
-    mesh = _fibonacci_sphere(_ROOT_MESH_POINTS)
-    f = _log_ratio(mesh, m, nu, c)
-    if f.min() == math.inf:
-        return None
-    n0 = _root_newton(m, nu, c, mesh[np.argmin(f)])
-    if n0 is None:
-        return None
-    # barycentric weights of r by signed volumes; q4 = h(r)/h(n0) is read off
-    # the oriented normal, so r on the plane gives q4 >= 0 exactly
-    pts = np.vstack([m, n0])
-    q = np.empty(4)
-    for k in range(3):
-        p = pts.copy()
-        p[k] = r
-        q[k] = np.cross(p[1] - p[0], p[2] - p[0]) @ (p[3] - p[0])
-    q[:3] /= np.cross(m[1] - m[0], m[2] - m[0]) @ (n0 - m[0])
-    q[3] = (nu @ (r - m[0])) / (nu @ (n0 - m[0]))
-    if np.any(q < 0.0):
-        return None
-    return _ensemble_isometry(q, np.vstack([x, _bloch_state(n0)]), lam)
-
-
 def _roof_starts(spectral: PureDecomposition, cfg: OptimizerConfig) -> np.ndarray:
     """The (R, ENSEMBLE_FACTOR r, r) stack of descent starts: the spectral
     decomposition, then seeded random isometries, start k drawn from
@@ -730,12 +556,10 @@ def _roof_search(rho: DensityMatrix, kind: str, cfg: OptimizerConfig) -> OptResu
     elif rho.d == 2:
         # every d = 2 member term is 2|det A|, whose roof Wootters' ensemble attains
         best_vm = _wootters_isometry(comps)
-    elif kind == "e3" and rho.d == 3 and r == 2:
-        best_vm = _root_stage(comps)
-    elif kind == "e2" and rho.d == 3 and r == 2:
+    elif kind != "neg" and rho.d == 3 and r == 2:
         # imported here because the hull module builds on this one
         from . import hull
-        best_vm = hull.e2_stage(comps)
+        best_vm = hull.rank2_stage(kind, comps)
     if best_vm is None:
         starts = _roof_starts(spectral, cfg)
         zero = _zero_stage(comps, starts) if kind == "e3" and rho.d == 3 and r >= 3 else None
@@ -772,12 +596,12 @@ def e_d2_mixed(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> OptRes
 
     At d = 3 and spectral rank 2 the hull stage runs first.  When its
     ensemble has weights >= 0 and its supporting plane b.n + c stays below
-    the member value on the Bloch sphere of the range to 1e-12, the result
-    is that ensemble of at most four members, with converged=True and
-    iterations_used=0, and its value is the roof, not only an upper bound.
-    A range of product states only, an LP or KKT solve that fails, a
-    negative weight or a plane that the member value falls below leaves the
-    result to the descent, unchanged.
+    the member value on the Bloch sphere of the range to 1e-12, or its
+    members are all product states, the result is that ensemble of at most
+    four members, with converged=True and iterations_used=0, and its value
+    is the roof, not only an upper bound.  A range of product states only,
+    an LP or KKT solve that fails, a negative weight or a plane that the
+    member value falls below leaves the result to the descent, unchanged.
     """
     return _roof_search(rho, "e2", cfg or OptimizerConfig())
 
@@ -793,14 +617,11 @@ def e_d3_mixed(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> OptRes
     step count.  Otherwise the CG descent runs from the same starts, as it
     does at other d and rank, and returns what it returns without the test.
 
-    At d = 3 and spectral rank 2 the root stage runs first.  When rho's
-    Bloch vector lies in the tetrahedron of the three zeros of det on its
-    range and the minimizer of the member value over the height above their
-    plane, the result is that four-member ensemble, with converged=True and
-    iterations_used=0, and its value is the roof, not only an upper bound.
-    A cubic that vanishes identically, a root at b = 0, a repeated root, a
-    Newton run that does not converge or a negative weight leaves the
-    result to the descent, unchanged.
+    At d = 3 and spectral rank 2 the hull stage of `e_d2_mixed` runs first,
+    on the member value 3|det|^(2/3), whose zeros on the Bloch sphere of the
+    range are the three roots of det, and answers as it does there.  A cubic
+    that vanishes identically, a root at b = 0 or a repeated root also leave
+    the result to the descent, unchanged.
     """
     if rho.d < 3:
         raise InvariantError("e_d3_mixed needs d >= 3")

@@ -14,13 +14,13 @@ import warnings
 import numpy as np
 import pytest
 
+from rank2_helpers import assert_certified, fibonacci_sphere, range_states, seeded
 from teleport_ent import (
     DensityMatrix,
     FamilyParams,
     OptimizerConfig,
     build_rho_f,
     e_d2_mixed,
-    random_density_matrix,
     spectral_decomposition,
 )
 from teleport_ent import hull, mixed
@@ -29,32 +29,13 @@ CFG = OptimizerConfig(restarts=8)
 E2 = mixed._RoofObjective(3, "e2")
 
 
-def fibonacci_sphere(n):
-    k = np.arange(n) + 0.5
-    z = 1.0 - 2.0 * k / n
-    phi = math.pi * (3.0 - math.sqrt(5.0)) * k
-    rad = np.sqrt(1.0 - z * z)
-    return np.column_stack([rad * np.cos(phi), rad * np.sin(phi), z])
-
-
 FINE_MESH = fibonacci_sphere(100_000)
-
-
-def range_states(n):
-    """Unit coefficient rows (a, b) with Bloch vectors n, by polar angles."""
-    theta = np.arccos(np.clip(n[:, 2], -1.0, 1.0))
-    azimuth = np.arctan2(n[:, 1], n[:, 0])
-    return np.column_stack([np.cos(theta / 2), np.exp(1j * azimuth) * np.sin(theta / 2)])
 
 
 def e2_values(coeffs, phi):
     """sqrt(3 sum_{i<j} s_i^2 s_j^2) of the unit members coeffs @ phi."""
     s2 = np.linalg.svd((coeffs @ phi).reshape(-1, 3, 3), compute_uv=False) ** 2
     return np.sqrt(3.0 * (s2[:, 0] * s2[:, 1] + s2[:, 0] * s2[:, 2] + s2[:, 1] * s2[:, 2]))
-
-
-def seeded(seed):
-    return random_density_matrix(3, np.random.default_rng(seed), rank=2)
 
 
 def search_with_plane(rho, monkeypatch):
@@ -72,14 +53,6 @@ def search_with_plane(rho, monkeypatch):
         warnings.simplefilter("error")
         res = e_d2_mixed(rho, CFG)
     return res, planes[-1]
-
-
-def assert_certified(rho, res):
-    comps = spectral_decomposition(rho).members()
-    v = res.argument_unitary
-    assert (res.converged, res.iterations_used) == (True, 0)
-    assert np.abs(v.conj().T @ v - np.eye(2)).max() <= mixed.MANIFOLD_TOL
-    assert res.value == E2.of_members(v @ comps)
 
 
 def supporting_plane_gap(rho, res, y):
@@ -126,7 +99,7 @@ def test_seeded_states_are_answered_at_or_below_the_descent(seed, monkeypatch):
     rho = seeded(seed)
     res, y = search_with_plane(rho, monkeypatch)
     assert y is not None
-    assert_certified(rho, res)
+    assert_certified(rho, res, E2)
     assert res.value <= PARENT_E2[seed] + 1e-10
 
 
@@ -134,7 +107,7 @@ def test_seeded_states_are_answered_at_or_below_the_descent(seed, monkeypatch):
 def test_accepted_states_attain_the_supporting_plane_bound(seed, monkeypatch):
     rho = seeded(seed)
     res, y = search_with_plane(rho, monkeypatch)
-    assert_certified(rho, res)
+    assert_certified(rho, res, E2)
     assert supporting_plane_gap(rho, res, y) >= -1e-9
 
 
@@ -157,7 +130,7 @@ def test_qutrit_family_roof_is_the_two_member_ensemble(p, monkeypatch):
     rho = build_rho_f(FamilyParams(p=p))
     res, y = search_with_plane(rho, monkeypatch)
     assert y is not None
-    assert_certified(rho, res)
+    assert_certified(rho, res, E2)
     assert res.value <= two_member_value(rho) + 1e-12
 
 
@@ -182,7 +155,7 @@ def assert_descent_result(rho, res):
 
 
 def test_declined_stage_leaves_the_descent_unchanged(monkeypatch):
-    monkeypatch.setattr(hull, "e2_stage", lambda comps: None)
+    monkeypatch.setattr(hull, "rank2_stage", lambda kind, comps: None)
     rho = seeded(12)
     res = e_d2_mixed(rho, CFG)
     assert res.value == PARENT_E2[12]
@@ -199,7 +172,8 @@ def product_span():
 
 def two_product_states():
     # |00> and |11> are the range's two product states, and r lies on their
-    # chord: the LP's support is the two cone points, which leave the plane free
+    # chord; the mesh's north pole is |00> itself, so the LP's support holds a
+    # free point on a cone point, where g has no slope, and the KKT solve fails
     return DensityMatrix.from_matrix(0.7 * np.outer(E[0], E[0]) + 0.3 * np.outer(E[4], E[4]))
 
 
@@ -209,7 +183,7 @@ def test_degenerate_ranges_decline_without_warnings(make):
     comps = spectral_decomposition(rho).members()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert hull.e2_stage(comps) is None
+        assert hull.rank2_stage("e2", comps) is None
         res = e_d2_mixed(rho, CFG)
     assert res.value <= 1e-12
     assert_descent_result(rho, res)
@@ -241,7 +215,7 @@ def test_plane_under_the_hull_fails_the_gap_test(monkeypatch):
     rho = seeded(7)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert hull.e2_stage(spectral_decomposition(rho).members()) is None
+        assert hull.rank2_stage("e2", spectral_decomposition(rho).members()) is None
         res = e_d2_mixed(rho, CFG)
     assert res.value == PARENT_E2[7]
     assert_descent_result(rho, res)
