@@ -170,7 +170,6 @@ def _cmd_dynamics(args) -> int:
         dt=args.dt,
         initial=initial,
         max_steps=args.max_steps,
-        omega0=args.omega0,
     )
     t0 = time.monotonic()
     if args.sweep:
@@ -257,12 +256,12 @@ def build_parser() -> argparse.ArgumentParser:
     pd = sub.add_parser("dynamics", help="open-system trajectories and sweeps")
     pd.add_argument("--model", choices=[m.value for m in dyn.ModelKind],
                     default="dissipative")
-    pd.add_argument("--T", type=_finite_float, default=0.0, help="bath temperature")
+    pd.add_argument("--T", type=_finite_float, default=0.0,
+                    help="bath temperature in units of hbar omega0 / k_B")
     pd.add_argument("--r", type=_finite_float, default=0.0, help="bath squeeze magnitude")
     pd.add_argument("--phi", type=_finite_float, default=0.0, help="bath squeeze phase")
     pd.add_argument("--r12", type=_finite_float, default=1.0, help="qubit separation")
     pd.add_argument("--gamma0", type=_finite_float, default=1.0)
-    pd.add_argument("--omega0", type=_finite_float, default=1.0)
     pd.add_argument("--t-max", type=_finite_float, default=5.0)
     pd.add_argument("--dt", type=_finite_float, default=None)
     pd.add_argument("--max-steps", type=_int_at_least(1, at_most=DYNAMICS_MAX_STEPS),

@@ -177,14 +177,11 @@ class DynamicsConfig:
     dt: float | None = None
     initial: DensityMatrix | None = None
     max_steps: int = DEFAULT_MAX_STEPS
-    omega0: float = 1.0
 
     def __post_init__(self):
         _require_finite(self)
         if self.gamma0 <= 0:
             raise InvariantError("gamma0 must be positive")
-        if self.omega0 <= 0:
-            raise InvariantError("omega0 must be positive")
         if self.t_max <= 0:
             raise InvariantError("t_max must be positive")
         if self.dt is not None and self.dt <= 0:
@@ -199,18 +196,19 @@ class DynamicsConfig:
         return self.initial if self.initial is not None else default_initial_state()
 
 
-def thermal_occupation(temperature: float, omega0: float = 1.0) -> float:
+def thermal_occupation(temperature: float) -> float:
+    """Bose occupation at the qubit frequency; temperature in units of hbar omega0 / k_B."""
     if temperature <= 0.0:
         return 0.0
-    x = omega0 / temperature
+    x = 1.0 / temperature
     if x > 700.0:  # 1/expm1(x) < 1e-304 here, and expm1 overflows past ~709.8
         return 0.0
     return 1.0 / math.expm1(x)
 
 
-def squeezed_occupations(bath: BathParams, omega0: float = 1.0) -> tuple[float, complex]:
+def squeezed_occupations(bath: BathParams) -> tuple[float, complex]:
     """Effective (N, M) of a squeezed thermal bath; |M|^2 <= N(N+1)."""
-    n_th = thermal_occupation(bath.temperature, omega0)
+    n_th = thermal_occupation(bath.temperature)
     try:
         ch = math.cosh(bath.squeeze_r)
         sh = math.sinh(bath.squeeze_r)
@@ -252,7 +250,7 @@ def collective_coefficients(bath: BathParams, gamma0: float) -> tuple[float, flo
 
 def _gks_parts(cfg: DynamicsConfig) -> tuple[np.ndarray, np.ndarray]:
     """Hamiltonian and coefficient matrix, in the order of _JUMPS[cfg.model]."""
-    n_eff, m_eff = squeezed_occupations(cfg.bath, cfg.omega0)
+    n_eff, m_eff = squeezed_occupations(cfg.bath)
     if cfg.model is ModelKind.QND:
         kappa = coupling_kernel(cfg.bath.r12)
         scale = 0.25 * cfg.gamma0 * (2.0 * n_eff + 1.0)

@@ -186,8 +186,6 @@ def rank3_mixed_bound(d: int) -> float:
     """Upper edge of the mixed rank-3 band: (d(d-1)/6)^(1/6) (d-2)^(-1/3)."""
     if d < 3:
         raise InvariantError("rank3_mixed_bound needs d >= 3")
-    if d == 3:
-        return 1.0
     return (d * (d - 1.0) / 6.0) ** (1.0 / 6.0) * (d - 2.0) ** (-1.0 / 3.0)
 
 

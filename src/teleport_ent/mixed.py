@@ -51,6 +51,7 @@ from .errors import InvariantError
 from .states import (
     DEFAULT_RANK_TOL,
     ENSEMBLE_FACTOR,
+    MANIFOLD_TOL,
     DensityMatrix,
     PureDecomposition,
     haar_unitary,
@@ -63,7 +64,6 @@ from . import measures
 from .measures import MeasureReport, RankClass
 
 DEFAULT_SEED = 1729
-MANIFOLD_TOL = 1e-8
 WEIGHT_FLOOR = 1e-14
 # stops an ascent restart when the polar step's possible gain falls to it, and
 # a descent restart when two successive steps each gain less than it (relative)
@@ -222,7 +222,6 @@ _ROT2 = np.array([2, 0, 1])
 # C_ij = A[i1, j1] A[i2, j2] - A[i1, j2] A[i2, j1], i1 = _ROT1[i], i2 = _ROT2[i]
 _COF = np.array([3 * r[:, None] + c for r, c in
                  ((_ROT1, _ROT1), (_ROT2, _ROT2), (_ROT1, _ROT2), (_ROT2, _ROT1))])
-_SIGN2 = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 def _cofactors(a: np.ndarray) -> np.ndarray:
@@ -259,18 +258,15 @@ class _RoofObjective:
 
     def terms(self, a: np.ndarray, mu: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
         """Member values of an (n, d, d) stack and their gradients under the
-        real inner product Re tr(X^dagger Y).  At d = 2, and for e_d2 and e_d3
-        at d = 3, they come from the cofactors without an SVD: e_d3 is
-        3 |det A|^(2/3), and e_d2 is sqrt(3 sum |C|^2), since sum_{i<j} s_i^2 s_j^2
-        is the squared norm of the 2 x 2 minors.  mu smooths e_d3 at det = 0 by
-        adding mu^2 to (s1 s2 s3)^2."""
+        real inner product Re tr(X^dagger Y).  For e_d2 and e_d3 at d = 3 they
+        come from the cofactors without an SVD: e_d3 is 3 |det A|^(2/3), and
+        e_d2 is sqrt(3 sum |C|^2), since sum_{i<j} s_i^2 s_j^2 is the squared
+        norm of the 2 x 2 minors.  mu smooths e_d3 at det = 0 by adding mu^2
+        to (s1 s2 s3)^2."""
         d = self.d
-        if d == 2 or (d == 3 and self.kind != "neg"):
-            if d == 2:
-                k, e, cof = 2.0, 0.5, a[:, ::-1, ::-1] * _SIGN2
-            else:
-                k, e, cof = 3.0, 1.0 / 3.0, _cofactors(a)
-            if self.kind == "e2" and d == 3:
+        if d == 3 and self.kind != "neg":
+            cof = _cofactors(a)
+            if self.kind == "e2":
                 # d sum|C|^2 = d (p^2 - tr h^2) / 2 = 2 Re tr((pA - hA)^dagger dA), h = AA^dagger
                 vals = np.sqrt(3.0 * (cof * cof.conj()).real.sum(axis=(1, 2)))
                 h = a @ a.conj().transpose(0, 2, 1)
@@ -278,6 +274,7 @@ class _RoofObjective:
                 scale = 3.0 / np.where(vals > 0.0, vals, np.inf)
                 return vals, scale[:, None, None] * (p[:, None, None] * a - h @ a)
             # k (|det|^2 + mu^2)^e; with the cofactors C, d|det|^2 = 2 Re(conj(det) sum C dA)
+            k, e = 3.0, 1.0 / 3.0
             det = (a[:, 0] * cof[:, 0]).sum(axis=1)
             x = (det * det.conj()).real + mu * mu
             scale = 2.0 * k * e * np.where(x > 0.0, x, np.inf) ** (e - 1.0) * det

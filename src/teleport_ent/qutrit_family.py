@@ -33,11 +33,10 @@ from .states import (
     DensityMatrix,
     PureBipartiteState,
     PureDecomposition,
-    schmidt,
     validated_decomposition,
 )
 from . import measures
-from .mixed import OptimizerConfig, OptResult, e_d2_mixed
+from .mixed import WEIGHT_FLOOR, OptimizerConfig, OptResult, _RoofObjective, e_d2_mixed
 
 D = 3
 
@@ -113,7 +112,7 @@ def declared_decomposition(params: FamilyParams) -> PureDecomposition:
     chi0, chi1 = chi_states()
     weights = [params.weight_c * 0.9, params.weight_c * 0.1, params.weight_phi]
     states = [chi0, chi1, phi_state()]
-    keep = [(w, s) for w, s in zip(weights, states) if w > 1e-14]
+    keep = [(w, s) for w, s in zip(weights, states) if w > WEIGHT_FLOOR]
     return validated_decomposition(
         weights=np.array([w for w, _ in keep]),
         states=tuple(s for _, s in keep),
@@ -140,11 +139,7 @@ def e32_closed_form(p: float) -> float:
 
 def declared_decomposition_value(params: FamilyParams) -> float:
     """Average e_32 over the declared ensemble (an upper bound on the roof)."""
-    dec = declared_decomposition(params)
-    total = 0.0
-    for w, st in zip(dec.weights, dec.states):
-        total += w * measures.e_d2(schmidt(st), D)
-    return total
+    return _RoofObjective(D, "e2").of_members(declared_decomposition(params).members())
 
 
 @dataclass(frozen=True)

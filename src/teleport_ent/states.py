@@ -20,7 +20,7 @@ PSD_TOL = 1e-9
 DEFAULT_RANK_TOL = 1e-9
 SPECTRAL_WEIGHT_FLOOR = 1e-12
 RECONSTRUCTION_TOL = 1e-8
-ISOMETRY_TOL = 1e-8
+MANIFOLD_TOL = 1e-8
 HERMITICITY_TOL = 1e-10
 # An ensemble mixing r spectral terms has at most this many times r members.
 ENSEMBLE_FACTOR = 2
@@ -211,7 +211,7 @@ def hjw_decomposition(rho: DensityMatrix, mix: np.ndarray) -> PureDecomposition:
     if n_out < r or n_out > cap:
         raise InvariantError(f"mix must have between {r} and {cap} rows, got {n_out}")
     gram_dev = np.abs(mix.conj().T @ mix - np.eye(r)).max()
-    if gram_dev > ISOMETRY_TOL:
+    if gram_dev > MANIFOLD_TOL:
         raise InvariantError(f"mix is not an isometry (gram deviation {gram_dev:.3e})")
 
     members = mix @ spectral.members()

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from teleport_ent import DensityMatrix, PureBipartiteState, random_density_matrix
+from teleport_ent import (DensityMatrix, PureBipartiteState, random_density_matrix,
+                          random_pure_state)
 from teleport_ent import stateio
 from teleport_ent.cli import MAX_RESTARTS, main
 from teleport_ent.errors import StateParseError
@@ -175,6 +176,27 @@ def test_dynamics_non_x_state_file(tmp_path, capsys):
         assert fh.read() == _csv_per_float(traj.row(k) for k in range(len(traj))).encode()
 
 
+def test_dynamics_pure_state_file_runs_as_its_density_matrix(tmp_path, capsys):
+    st = random_pure_state(2, np.random.default_rng(1801))
+    csvs = []
+    for kind, obj in (("pure", st), ("dm", DensityMatrix.from_pure(st))):
+        state, path = str(tmp_path / f"{kind}.txt"), str(tmp_path / f"{kind}.csv")
+        stateio.write_state_file(state, obj)
+        code, _, _ = run(capsys, "dynamics", "--T", "1", "--r12", "0.5", "--t-max", "0.05",
+                         "--state", state, "--out", path)
+        assert code == 0
+        csvs.append(Path(path).read_bytes())
+    assert csvs[0] == csvs[1]
+
+
+def test_dynamics_state_file_needs_two_qubits(tmp_path, capsys):
+    state = str(tmp_path / "rho.txt")
+    stateio.write_state_file(state, random_density_matrix(3, np.random.default_rng(1802)))
+    code, out, err = run(capsys, "dynamics", "--t-max", "0.05", "--state", state)
+    assert code == 2 and out == ""
+    assert "need d=2" in err
+
+
 def test_dynamics_sweep_grid_parse_error(capsys):
     code, _, err = run(capsys, "dynamics", "--sweep", "r12=bad-grid")
     assert code == 2
@@ -268,7 +290,7 @@ def test_dynamics_diverged_step_message(capsys):
 
 
 @pytest.mark.parametrize("flag", ["--T", "--r", "--phi", "--r12", "--gamma0",
-                                  "--omega0", "--t-max", "--dt"])
+                                  "--t-max", "--dt"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_dynamics_non_finite_input_exit_2(capsys, flag, value):
     with pytest.raises(SystemExit) as exc:
@@ -280,8 +302,7 @@ def test_dynamics_non_finite_input_exit_2(capsys, flag, value):
 
 @pytest.mark.parametrize("argv", [
     ("--r", "50"), ("--r", "1000"), ("--T", "1e-3"), ("--T", "1e300"),
-    ("--r12", "1e-300"), ("--gamma0", "1e308"), ("--omega0", "0", "--T", "1"),
-    ("--sweep", "r12=nan:1:3"),
+    ("--r12", "1e-300"), ("--gamma0", "1e308"), ("--sweep", "r12=nan:1:3"),
 ])
 def test_dynamics_extreme_input_exits_cleanly(capsys, argv):
     code, _, _ = run(capsys, "dynamics", "--max-steps", "20000", "--t-max", "0.5", *argv)

@@ -31,7 +31,7 @@ from teleport_ent import measures, mixed
 
 def test_thermal_occupation_limits():
     assert thermal_occupation(0.0) == 0.0
-    # T = 1, omega0 = 1: 1/(e - 1)
+    # T = 1 (units of hbar omega0 / k_B): 1/(e - 1)
     assert abs(thermal_occupation(1.0) - 1.0 / (math.e - 1.0)) < 1e-14
     assert thermal_occupation(100.0) > 99.0  # classical limit ~ T
 
@@ -407,7 +407,7 @@ def test_bath_rejects_non_finite(field, value):
         BathParams(**{field: value})
 
 
-@pytest.mark.parametrize("field", ["gamma0", "t_max", "dt", "omega0"])
+@pytest.mark.parametrize("field", ["gamma0", "t_max", "dt"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_config_rejects_non_finite(field, value):
     with pytest.raises(InvariantError, match="finite"):
@@ -420,7 +420,7 @@ def test_extreme_finite_baths_abort_cleanly():
                  BathParams(r12=1e-300), BathParams(r12=1e-105)):
         with pytest.raises(InvariantError):
             evolve(DynamicsConfig(bath=bath, t_max=0.01))
-    assert thermal_occupation(1e-3) == 0.0  # omega0 / T = 1000
+    assert thermal_occupation(1e-3) == 0.0  # 1 / T = 1000
 
 
 # ---------------------------------------------------------------------------

@@ -213,6 +213,20 @@ def test_analyze_pure_rank2_reports_e_d3_zero():
     assert rep.e_d2 == e_d2(spec, 3)
 
 
+@pytest.mark.parametrize("lams, rank, band", [
+    (LAM_B, 3, RankClass.RANK3_USEFUL),
+    # f = 1/3 exactly, so the product state is not useful
+    ((1.0, 0.0, 0.0), 1, RankClass.NOT_USEFUL),
+    # rank 1 at DEFAULT_RANK_TOL, yet f - 1/3 ~ 6.7e-6 clears USEFUL_GUARD
+    ((1.0 - 1e-10, 1e-10, 0.0), 1, RankClass.RANK1),
+])
+def test_analyze_pure_bands(lams, rank, band):
+    rep = analyze_pure(PureBipartiteState(d=3, amp=np.diag(np.sqrt(lams)).astype(complex)))
+    assert rep.schmidt_rank == rank
+    assert rep.useful_for_teleportation is (band is not RankClass.NOT_USEFUL)
+    assert rep.rank_class is band
+
+
 def test_analyze_pure_rank4_has_no_e_values():
     st = random_pure_state(4, np.random.default_rng(36), rank=4)
     rep = analyze_pure(st)

@@ -309,6 +309,21 @@ def test_two_qubit_roof_is_wootters_ensemble(kind, search, rank):
         assert abs(res.value - concurrence_2qubit(rho)) <= tol
 
 
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_two_qubit_roofs_never_reach_the_descent(monkeypatch, rank):
+    # r = 1 or Wootters' ensemble answers every d = 2 roof, which is why
+    # _RoofObjective.terms keeps no d = 2 branch of its own
+    def refuse(*args):
+        raise AssertionError("a d = 2 roof reached the descent")
+
+    monkeypatch.setattr(mixed, "_descend", refuse)
+    monkeypatch.setattr(mixed, "_roof_starts", refuse)
+    for seed in range(6):
+        rho = random_density_matrix(2, np.random.default_rng(seed), rank=rank)
+        assert e_d2_mixed(rho).value is not None
+        assert cren_estimate(rho).value is not None
+
+
 BELL = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]) / math.sqrt(2)
 
 
