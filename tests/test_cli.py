@@ -302,7 +302,8 @@ def test_dynamics_non_finite_input_exit_2(capsys, flag, value):
 
 @pytest.mark.parametrize("argv", [
     ("--r", "50"), ("--r", "1000"), ("--T", "1e-3"), ("--T", "1e300"),
-    ("--r12", "1e-300"), ("--gamma0", "1e308"), ("--sweep", "r12=nan:1:3"),
+    ("--r12", "1e-300"), ("--gamma0", "1e308"), ("--T", "0"),
+    ("--sweep", "r12=nan:1:3"),
 ])
 def test_dynamics_extreme_input_exits_cleanly(capsys, argv):
     code, _, _ = run(capsys, "dynamics", "--max-steps", "20000", "--t-max", "0.5", *argv)
