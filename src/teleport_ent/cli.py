@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 import time
 
@@ -38,7 +37,6 @@ from .states import (
     schmidt,
 )
 
-ENV_SEED = "TELEPORT_ENT_SEED"
 # random --d ceiling: a d = 32 density matrix is 1024 x 1024, 16 MB of complex entries
 RANDOM_MAX_D = 32
 # --restarts ceiling: each restart is one layer of the optimizers' start stacks
@@ -47,19 +45,6 @@ MAX_RESTARTS = 1024
 # six float columns per step, and the time axis a row per grid point
 DYNAMICS_MAX_STEPS = 200_000
 SWEEP_MAX_POINTS = 10_000
-
-
-def _default_seed() -> int:
-    raw = os.environ.get(ENV_SEED)
-    if raw is None:
-        return mixed.DEFAULT_SEED
-    try:
-        seed = int(raw)
-    except ValueError:
-        raise StateParseError(f"{ENV_SEED} must be an integer, got {raw!r}") from None
-    if seed < 0:
-        raise StateParseError(f"{ENV_SEED} must be non-negative, got {raw!r}")
-    return seed
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -241,12 +226,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="entanglement and teleportation diagnostics for d x d states")
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
-    seed_help = f"default: ${ENV_SEED}, else {mixed.DEFAULT_SEED}"
 
     pa = sub.add_parser("analyze", help="measure report for a state file")
     pa.add_argument("state", help="path to a state file (pure or dm)")
-    pa.add_argument("--restarts", type=_int_at_least(1, at_most=MAX_RESTARTS), default=8)
-    pa.add_argument("--seed", type=_int_at_least(0), default=None, help=seed_help)
+    pa.add_argument("--restarts", type=_int_at_least(1, at_most=MAX_RESTARTS),
+                    default=mixed.OptimizerConfig.restarts)
+    pa.add_argument("--seed", type=_int_at_least(0), default=mixed.DEFAULT_SEED)
     pa.set_defaults(func=_cmd_analyze)
 
     pb = sub.add_parser("bounds", help="thresholds and band ceilings for a dimension")
@@ -256,13 +241,16 @@ def build_parser() -> argparse.ArgumentParser:
     pd = sub.add_parser("dynamics", help="open-system trajectories and sweeps")
     pd.add_argument("--model", choices=[m.value for m in dyn.ModelKind],
                     default="dissipative")
-    pd.add_argument("--T", type=_finite_float, default=0.0,
+    bath, run = dyn.BathParams, dyn.DynamicsConfig  # the dataclasses hold the defaults
+    pd.add_argument("--T", type=_finite_float, default=bath.temperature,
                     help="bath temperature in units of hbar omega0 / k_B")
-    pd.add_argument("--r", type=_finite_float, default=0.0, help="bath squeeze magnitude")
-    pd.add_argument("--phi", type=_finite_float, default=0.0, help="bath squeeze phase")
-    pd.add_argument("--r12", type=_finite_float, default=1.0, help="qubit separation")
-    pd.add_argument("--gamma0", type=_finite_float, default=1.0)
-    pd.add_argument("--t-max", type=_finite_float, default=5.0)
+    pd.add_argument("--r", type=_finite_float, default=bath.squeeze_r,
+                    help="bath squeeze magnitude")
+    pd.add_argument("--phi", type=_finite_float, default=bath.squeeze_phi,
+                    help="bath squeeze phase")
+    pd.add_argument("--r12", type=_finite_float, default=bath.r12, help="qubit separation")
+    pd.add_argument("--gamma0", type=_finite_float, default=run.gamma0)
+    pd.add_argument("--t-max", type=_finite_float, default=run.t_max)
     pd.add_argument("--dt", type=_finite_float, default=None)
     pd.add_argument("--max-steps", type=_int_at_least(1, at_most=DYNAMICS_MAX_STEPS),
                     default=dyn.DEFAULT_MAX_STEPS)
@@ -274,15 +262,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     pq = sub.add_parser("qutrit-example", help="built-in two-qutrit family")
     pq.add_argument("--p", type=float, required=True, help="family parameter in [0, 1/2]")
-    pq.add_argument("--restarts", type=_int_at_least(1, at_most=MAX_RESTARTS), default=8)
-    pq.add_argument("--seed", type=_int_at_least(0), default=None, help=seed_help)
+    pq.add_argument("--restarts", type=_int_at_least(1, at_most=MAX_RESTARTS),
+                    default=mixed.OptimizerConfig.restarts)
+    pq.add_argument("--seed", type=_int_at_least(0), default=mixed.DEFAULT_SEED)
     pq.set_defaults(func=_cmd_qutrit_example)
 
     pr = sub.add_parser("random", help="write a seeded random state file")
     pr.add_argument("kind", choices=["pure", "dm"])
     pr.add_argument("--d", type=_int_at_least(2, at_most=RANDOM_MAX_D), required=True)
     pr.add_argument("--rank", type=_int_at_least(1), default=None)
-    pr.add_argument("--seed", type=_int_at_least(0), default=None, help=seed_help)
+    pr.add_argument("--seed", type=_int_at_least(0), default=mixed.DEFAULT_SEED)
     pr.add_argument("--out", default=None)
     pr.set_defaults(func=_cmd_random)
     return p
@@ -291,8 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if "seed" in args and args.seed is None:
-            args.seed = _default_seed()  # only the subcommands that take a seed read it
         return args.func(args)
     except StateParseError as exc:
         sys.stderr.write(f"input error: {exc}\n")

@@ -334,8 +334,6 @@ def _min_eig(mats: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of each matrix in a (..., 4, 4) hermitian stack;
     -inf where a matrix has a non-finite entry, which LAPACK never sees."""
     finite = np.isfinite(mats).all(axis=(-2, -1))
-    if finite.all():
-        return np.linalg.eigvalsh(mats)[..., 0]
     out = np.full(finite.shape, -np.inf)
     out[finite] = np.linalg.eigvalsh(mats[finite])[..., 0]
     return out

@@ -72,7 +72,7 @@ CONVERGENCE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    restarts: int = 32
+    restarts: int = 8
     max_iters: int = 500
     seed: int = DEFAULT_SEED
 
@@ -341,15 +341,15 @@ def _slope(grad: np.ndarray, direction: np.ndarray) -> np.ndarray:
 
 
 def _cg_stage(obj: _RoofObjective, comps: np.ndarray, v: np.ndarray, mu: float,
-              budget: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+              budget: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Polak-Ribiere+ conjugate gradients with Armijo backtracking, so the
     objective never rises, from each isometry of the (R, n, r) stack v with
     its own step budget.  A restart has converged when two successive steps
-    each lower it by less than tol * max(1, value) (one short step after
-    backtracking at a kink of a member term says little), or when no step
-    lowers it.  Every restart keeps its own step length t and stall flag and
-    leaves the stack when it stops, so it takes exactly the steps it takes
-    alone.  Returns the end points, converged flags and steps used."""
+    each lower it by less than CONVERGENCE_TOL * max(1, value) (one short
+    step after backtracking at a kink of a member term says little), or when
+    no step lowers it.  Every restart keeps its own step length t and stall
+    flag and leaves the stack when it stops, so it takes exactly the steps it
+    takes alone.  Returns the end points, converged flags and steps used."""
     end, converged, used = v.copy(), np.zeros(len(v), dtype=bool), budget.copy()
     live = np.flatnonzero(budget > 0)
     if not live.size:
@@ -392,7 +392,7 @@ def _cg_stage(obj: _RoofObjective, comps: np.ndarray, v: np.ndarray, mu: float,
         beta = _re_dots(grad_new, grad_new - grad) / _re_dots(grad, grad)
         direction = (-grad_new + np.where(beta > 0.0, beta, 0.0)[:, None, None]
                      * _tangent(v_new, direction))
-        small = f - f_new < tol * np.maximum(1.0, np.abs(f_new))
+        small = f - f_new < CONVERGENCE_TOL * np.maximum(1.0, np.abs(f_new))
         v, f, grad = v_new, f_new, grad_new
         slope = _slope(grad, direction)
         # a zero slope next step ends the descent here, converged
@@ -410,8 +410,7 @@ def _descend(obj: _RoofObjective, comps: np.ndarray, v0: np.ndarray,
     member term near zero can cause."""
     v, steps = v0, np.zeros(len(v0), dtype=int)
     for mu in ((_E3_MU, 0.0) if obj.kind == "e3" else (0.0,)):
-        v, converged, used = _cg_stage(obj, comps, v, mu, cfg.max_iters - steps,
-                                       CONVERGENCE_TOL)
+        v, converged, used = _cg_stage(obj, comps, v, mu, cfg.max_iters - steps)
         steps += used
     runs = []
     for vk, vk0, conv, n in zip(v, v0, converged.tolist(), steps.tolist()):

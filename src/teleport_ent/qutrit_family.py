@@ -165,7 +165,7 @@ def e32_of_family(params: FamilyParams, cfg: OptimizerConfig | None = None) -> F
     entangled, so the overlap is a lower bound on the singlet fraction, and
     it is at least 2/3 along the family.
     """
-    cfg = cfg or OptimizerConfig(restarts=8)
+    cfg = cfg or OptimizerConfig()
     rho = build_rho_f(params)
     search = e_d2_mixed(rho, cfg)
     psi = psi_state().vector()

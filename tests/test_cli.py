@@ -226,6 +226,28 @@ def test_dynamics_out_of_range_sweep_exit_3(tmp_path, capsys, argv):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("spec,message", [
+    ("r12=0:1:x", "grid '0:1:x' must look like LO:HI:N"),
+    ("r12=0:1:0", "grid point count must be at least 1"),
+])
+def test_dynamics_malformed_sweep_grid_exit_2(capsys, spec, message):
+    code, out, err = run(capsys, "dynamics", "--t-max", "0.01", "--sweep", spec)
+    assert (code, out, err) == (2, "", f"input error: {message}\n")
+
+
+# well-formed values the model rejects
+@pytest.mark.parametrize("argv,message", [
+    (("--gamma0", "0"), "gamma0 must be positive"),
+    (("--gamma0", "-1"), "gamma0 must be positive"),
+    (("--t-max", "0"), "t_max must be positive"),
+    (("--dt", "0"), "dt must be positive"),
+    (("--T", "-1"), "bath temperature must be nonnegative"),
+])
+def test_dynamics_rejected_parameter_exit_3(capsys, argv, message):
+    code, out, err = run(capsys, "dynamics", *argv)
+    assert (code, out, err) == (3, "", f"invariant violated: {message}\n")
+
+
 def test_determinism_of_cli_outputs(tmp_path, capsys):
     # same seed, same bytes, for both a report and a CSV
     outs = []
@@ -246,20 +268,6 @@ def test_determinism_of_cli_outputs(tmp_path, capsys):
         with open(path, "rb") as fh:
             csvs.append(fh.read())
     assert csvs[0] == csvs[1]
-
-
-def test_seed_env_var_respected(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("TELEPORT_ENT_SEED", "12345")
-    p1 = str(tmp_path / "a.txt")
-    p2 = str(tmp_path / "b.txt")
-    run(capsys, "random", "pure", "--d", "3", "--out", p1)
-    run(capsys, "random", "pure", "--d", "3", "--out", p2)
-    with open(p1, encoding="utf-8") as fh:
-        a = fh.read()
-    with open(p2, encoding="utf-8") as fh:
-        b = fh.read()
-    assert a == b
-    assert "12345" in a  # seed echoed in the comment
 
 
 def test_version_flag(capsys):
@@ -380,12 +388,6 @@ def test_negative_seed_exit_2(capsys, argv):
     assert "must be at least 0" in err and "--seed" in err
 
 
-def test_negative_seed_env_var_exit_2(capsys, monkeypatch):
-    monkeypatch.setenv("TELEPORT_ENT_SEED", "-3")
-    assert _exit_code(["random", "dm", "--d", "2"]) == 2
-    assert "TELEPORT_ENT_SEED must be non-negative" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("kind", ["pure", "dm"])
 @pytest.mark.parametrize("value", ["1", "0", "-1"])
 def test_random_dimension_below_two_exit_2(tmp_path, capsys, kind, value):
@@ -429,23 +431,62 @@ def test_analyze_invalid_state_exit_2(tmp_path, capsys, text):
     assert "state fails validation" in err and out == ""
 
 
+def _run_with_and_without_seed_env(capsys, monkeypatch, raw, argv):
+    """run's result, the same with TELEPORT_ENT_SEED unset and set to raw;
+    the manifest's wall time is left out of stderr."""
+    def observe():
+        code, out, err = run(capsys, *argv)
+        return code, out, [ln for ln in err.splitlines() if "wall_time_s" not in ln]
+    monkeypatch.delenv("TELEPORT_ENT_SEED", raising=False)
+    want = observe()
+    monkeypatch.setenv("TELEPORT_ENT_SEED", raw)
+    assert observe() == want
+    return want
+
+
+@pytest.mark.parametrize("text,message", [
+    ("", "missing header; expected 'pure d' or 'dm d'"),
+    ("dm x\n", "dimension 'x' is not an integer"),
+    ("dm 1\n", "dimension must be at least 2, got 1"),
+    ("pure 2\n1 0 0 0 0 0 0 x\n", "bad numeric token: could not convert string to float: 'x'"),
+], ids=["empty", "dm_x", "dm_1", "non_numeric"])
+def test_analyze_malformed_state_file_exit_2(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out, err) == (2, "", f"input error: {message}\n")
+
+
+def test_report_prints_none_as_unavailable():
+    # a full-rank d = 4 analyze prints only such values
+    assert stateio.format_report([("d", 4), ("e_d2", None)]) == "d    = 4\ne_d2 = unavailable\n"
+
+
+# the seed has one way in, --seed: the environment variable is no setting
 @pytest.mark.parametrize("raw", ["abc", "-3"])
 @pytest.mark.parametrize("argv", [
     ("bounds", "--d", "3"),
     ("dynamics", "--t-max", "0.01", "--dt", "1e-3"),
 ])
 def test_seedless_commands_ignore_seed_env_var(capsys, monkeypatch, raw, argv):
-    monkeypatch.setenv("TELEPORT_ENT_SEED", raw)
-    code, out, err = run(capsys, *argv)
-    assert code == 0 and out and "TELEPORT_ENT_SEED" not in err
+    code, out, _ = _run_with_and_without_seed_env(capsys, monkeypatch, raw, argv)
+    assert code == 0 and out
 
 
-def test_bad_seed_env_var_is_unused_when_seed_given(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("TELEPORT_ENT_SEED", "abc")
-    code, out, _ = run(capsys, "random", "pure", "--d", "2", "--seed", "4")
-    assert code == 0 and "seed=4" in out
-    assert _exit_code(["random", "pure", "--d", "2"]) == 2
-    assert "TELEPORT_ENT_SEED must be an integer" in capsys.readouterr().err
+@pytest.mark.parametrize("raw", ["abc", "-3"])
+@pytest.mark.parametrize("argv", [
+    ("analyze", "STATE"),
+    ("qutrit-example", "--p", "0.3"),
+    ("random", "pure", "--d", "2"),
+], ids=["analyze", "qutrit-example", "random"])
+def test_seeded_commands_ignore_seed_env_var(tmp_path, capsys, monkeypatch, raw, argv):
+    state = str(tmp_path / "rho.txt")
+    stateio.write_state_file(state, random_density_matrix(2, np.random.default_rng(1803)))
+    argv = [state if arg == "STATE" else arg for arg in argv]
+    code, out, _ = _run_with_and_without_seed_env(capsys, monkeypatch, raw, argv)
+    assert code == 0 and out
+    if argv[0] == "random":
+        assert "seed=1729" in out
 
 
 @pytest.mark.parametrize("kind", ["pure", "dm"])

@@ -6,12 +6,14 @@ plain numpy, independently of the implementation under test.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from teleport_ent import (
     DensityMatrix,
+    DynamicsConfig,
     InvariantError,
     PureBipartiteState,
     RankClass,
@@ -21,6 +23,7 @@ from teleport_ent import (
     classical_fidelity_limit,
     classify_rank_band,
     concurrence_2qubit,
+    coupling_kernel,
     e_d2,
     e_d3,
     fidelity_from_fraction,
@@ -35,6 +38,7 @@ from teleport_ent import (
     random_spectrum,
     schmidt,
     singlet_fraction_pure,
+    sweep,
 )
 from teleport_ent.measures import partial_transpose
 
@@ -244,3 +248,31 @@ def test_rank3_fidelity_floor_on_random_rank3_states():
             floor = rank3_fidelity_lower_bound(e_d3(s, d), d)
             assert floor <= fid + 1e-10
             assert fid <= 1.0 + 1e-12
+
+
+_HALF_2 = SchmidtSpectrum(lambdas=np.array([0.5, 0.5]))
+
+
+# inputs outside each function's model, from the dynamics and the measures
+@pytest.mark.parametrize("call,message", [
+    (lambda: DynamicsConfig(max_steps=0), "max_steps must be positive"),
+    (lambda: coupling_kernel(-1.0), "separation must be nonnegative"),
+    (lambda: sweep(DynamicsConfig(), "r12", np.ones((2, 2))),
+     "sweep grid must be a nonempty 1-D array"),
+    (lambda: sweep(DynamicsConfig(), "r12", np.array([0.5, math.nan])),
+     "sweep grid must be finite"),
+    (lambda: e_d2(SchmidtSpectrum(lambdas=np.array([1.0])), 1), "e_d2 needs d >= 2"),
+    (lambda: e_d3(_HALF_2, 2), "e_d3 needs d >= 3"),
+    (lambda: central_identity_residual(_HALF_2, 2),
+     "the identity involves e_d3 and needs d >= 3"),
+    (lambda: rank3_mixed_bound(2), "rank3_mixed_bound needs d >= 3"),
+    (lambda: rank2_bounds(1), "rank2_bounds needs d >= 2"),
+    (lambda: rank3_fidelity_lower_bound(-1.0, 3), "e3 must be nonnegative"),
+    (lambda: concurrence_2qubit(DensityMatrix.from_matrix(np.eye(9) / 9)),
+     "concurrence is defined here for d=2 only"),
+], ids=["max_steps_0", "kernel_negative_x", "sweep_2d_grid", "sweep_nan_grid",
+        "e_d2_d1", "e_d3_d2", "identity_d2", "rank3_ceiling_d2", "rank2_bounds_d1",
+        "rank3_floor_negative_e3", "concurrence_d3"])
+def test_input_outside_the_model_raises(call, message):
+    with pytest.raises(InvariantError, match=f"^{re.escape(message)}$"):
+        call()

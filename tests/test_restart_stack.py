@@ -20,7 +20,7 @@ from teleport_ent import (
     random_isometry,
     spectral_decomposition,
 )
-from teleport_ent import mixed
+from teleport_ent import mixed, stateio
 from teleport_ent.cli import main
 from teleport_ent.states import ENSEMBLE_FACTOR
 
@@ -75,8 +75,7 @@ def test_e3_second_stage_gets_what_the_first_left():
     obj = mixed._RoofObjective(3, "e3")
     cfg = OptimizerConfig()
     budget = np.full(len(starts), cfg.max_iters)
-    first = mixed._cg_stage(obj, comps, starts, mixed._E3_MU, budget,
-                            mixed.CONVERGENCE_TOL)[2]
+    first = mixed._cg_stage(obj, comps, starts, mixed._E3_MU, budget)[2]
     assert first.max() == cfg.max_iters and first.min() < cfg.max_iters
     runs = descend_each(obj, comps, starts, cfg)
     for used, (_, _, conv, steps) in zip(first, runs):
@@ -140,8 +139,7 @@ def test_ascent_restart_at_the_fixed_point_stops_at_once(d):
     ("analyze_dm_d2_seed11", ("random", "dm", "--d", "2", "--seed", "11")),
     ("qutrit_example_p0.25", None),
 ])
-def test_cli_output_matches_golden_bytes(tmp_path, capsys, monkeypatch, name, argv):
-    monkeypatch.delenv("TELEPORT_ENT_SEED", raising=False)
+def test_cli_output_matches_golden_bytes(tmp_path, capsys, name, argv):
     if argv is None:
         assert main(["qutrit-example", "--p", "0.25"]) == 0
     else:
@@ -149,3 +147,15 @@ def test_cli_output_matches_golden_bytes(tmp_path, capsys, monkeypatch, name, ar
         assert main([*argv, "--out", str(path)]) == 0
         assert main(["analyze", str(path)]) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def test_default_config_reproduces_the_cli_report(tmp_path):
+    # OptimizerConfig() holds the CLI's restarts and seed, so the library
+    # reports what analyze prints for the golden seed-13 state
+    path = str(tmp_path / "state.dm")
+    assert main(["random", "dm", "--d", "3", "--rank", "3", "--seed", "13", "--out", path]) == 0
+    rep = mixed.classify_mixed(stateio.read_state_file(path))
+    lines = (GOLDEN / "analyze_dm_d3_rank3_seed13.out").read_text(encoding="utf-8").splitlines()
+    golden = dict((k.strip(), v) for k, v in (ln.split(" = ") for ln in lines[1:]))
+    for key in ("negativity", "singlet_fraction", "fidelity", "e_d2", "e_d3"):
+        assert stateio.format_value(getattr(rep, key)) == golden[key], key
