@@ -220,25 +220,20 @@ def _cmd_random(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="teleport-ent",
-        description="entanglement and teleportation diagnostics for d x d states")
-    p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    pa = sub.add_parser("analyze", help="measure report for a state file")
+def _analyze_arguments(pa: argparse.ArgumentParser) -> None:
     pa.add_argument("state", help="path to a state file (pure or dm)")
     pa.add_argument("--restarts", type=_int_at_least(1, at_most=MAX_RESTARTS),
                     default=mixed.OptimizerConfig.restarts)
     pa.add_argument("--seed", type=_int_at_least(0), default=mixed.DEFAULT_SEED)
     pa.set_defaults(func=_cmd_analyze)
 
-    pb = sub.add_parser("bounds", help="thresholds and band ceilings for a dimension")
+
+def _bounds_arguments(pb: argparse.ArgumentParser) -> None:
     pb.add_argument("--d", type=_int_at_least(2), required=True)
     pb.set_defaults(func=_cmd_bounds)
 
-    pd = sub.add_parser("dynamics", help="open-system trajectories and sweeps")
+
+def _dynamics_arguments(pd: argparse.ArgumentParser) -> None:
     pd.add_argument("--model", choices=[m.value for m in dyn.ModelKind],
                     default="dissipative")
     bath, run = dyn.BathParams, dyn.DynamicsConfig  # the dataclasses hold the defaults
@@ -260,26 +255,57 @@ def build_parser() -> argparse.ArgumentParser:
                     help=f"sweep one of {dyn.SWEEP_AXES} and report endpoints")
     pd.set_defaults(func=_cmd_dynamics)
 
-    pq = sub.add_parser("qutrit-example", help="built-in two-qutrit family")
+
+def _qutrit_example_arguments(pq: argparse.ArgumentParser) -> None:
     pq.add_argument("--p", type=float, required=True, help="family parameter in [0, 1/2]")
     pq.add_argument("--restarts", type=_int_at_least(1, at_most=MAX_RESTARTS),
                     default=mixed.OptimizerConfig.restarts)
     pq.add_argument("--seed", type=_int_at_least(0), default=mixed.DEFAULT_SEED)
     pq.set_defaults(func=_cmd_qutrit_example)
 
-    pr = sub.add_parser("random", help="write a seeded random state file")
+
+def _random_arguments(pr: argparse.ArgumentParser) -> None:
     pr.add_argument("kind", choices=["pure", "dm"])
     pr.add_argument("--d", type=_int_at_least(2, at_most=RANDOM_MAX_D), required=True)
     pr.add_argument("--rank", type=_int_at_least(1), default=None)
     pr.add_argument("--seed", type=_int_at_least(0), default=mixed.DEFAULT_SEED)
     pr.add_argument("--out", default=None)
     pr.set_defaults(func=_cmd_random)
+
+
+# subcommand: (its line in the top-level help, what adds its arguments and handler)
+_COMMANDS = {
+    "analyze": ("measure report for a state file", _analyze_arguments),
+    "bounds": ("thresholds and band ceilings for a dimension", _bounds_arguments),
+    "dynamics": ("open-system trajectories and sweeps", _dynamics_arguments),
+    "qutrit-example": ("built-in two-qutrit family", _qutrit_example_arguments),
+    "random": ("write a seeded random state file", _random_arguments),
+}
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser for argv; None gives every subcommand its arguments.
+
+    argparse picks a subcommand only by its exact name in argv, and shows a
+    subcommand it did not pick by its name and help line alone.  So only the
+    subcommands named in argv get their arguments, which spares a run most
+    of the parser's add_argument calls."""
+    p = argparse.ArgumentParser(
+        prog="teleport-ent",
+        description="entanglement and teleportation diagnostics for d x d states")
+    p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments) in _COMMANDS.items():
+        parser = sub.add_parser(name, help=help_line)
+        if argv is None or name in argv:
+            add_arguments(parser)
     return p
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else list(argv)
+        args = build_parser(argv).parse_args(argv)
         return args.func(args)
     except StateParseError as exc:
         sys.stderr.write(f"input error: {exc}\n")

@@ -83,8 +83,6 @@ _SM = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)  # lowers |1> -> |
 _SP = _SM.conj().T
 _SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 _I2 = np.eye(2, dtype=np.complex128)
-# vec(m) -> vec(m.T) for a row-major vectorized 4 x 4 matrix
-_VEC_TRANSPOSE = np.arange(16).reshape(4, 4).T.reshape(-1)
 # row-major positions of a 4 x 4 matrix's diagonal, and of its entries off
 # the diagonal and the anti-diagonal: those an X state has exactly 0.0
 _DIAG = np.array([0, 5, 10, 15])
@@ -248,30 +246,53 @@ def collective_coefficients(bath: BathParams, gamma0: float) -> tuple[float, flo
     return gamma0 * coupling_kernel(x), gamma0 * shift_kernel(x)
 
 
-def _gks_parts(cfg: DynamicsConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Hamiltonian and coefficient matrix, in the order of _JUMPS[cfg.model]."""
-    n_eff, m_eff = squeezed_occupations(cfg.bath)
-    if cfg.model is ModelKind.QND:
-        kappa = coupling_kernel(cfg.bath.r12)
-        scale = 0.25 * cfg.gamma0 * (2.0 * n_eff + 1.0)
-        c = scale * np.array([[1.0, kappa], [kappa, 1.0]], dtype=np.complex128)
-        return np.zeros((4, 4), dtype=np.complex128), c
-    gamma12, omega12 = collective_coefficients(cfg.bath, cfg.gamma0)
-    g = np.array([[cfg.gamma0, gamma12], [gamma12, cfg.gamma0]])
-    k = np.array([[n_eff + 1.0, -m_eff], [-np.conj(m_eff), n_eff]])
-    return omega12 * _EXCHANGE, np.kron(k, g)
+def _gks_parts(cfgs: list[DynamicsConfig]) -> tuple[np.ndarray, np.ndarray]:
+    """(G, 4, 4) Hamiltonians and (G, n, n) coefficient matrices, in the order
+    of _JUMPS[model], of configs that share one model.  The bath scalars are
+    computed point by point, so their checks raise in grid order."""
+    if cfgs[0].model is ModelKind.QND:
+        scale, kappa = np.array([
+            (0.25 * cfg.gamma0 * (2.0 * squeezed_occupations(cfg.bath)[0] + 1.0),
+             coupling_kernel(cfg.bath.r12)) for cfg in cfgs]).T
+        one = np.ones_like(kappa)
+        c = scale[:, None, None] * np.array([[one, kappa], [kappa, one]],
+                                            dtype=np.complex128).transpose(2, 0, 1)
+        return np.zeros((len(cfgs), 4, 4), dtype=np.complex128), c
+    n_eff, m_eff, gamma0, gamma12, omega12 = np.array(
+        [(*squeezed_occupations(cfg.bath), cfg.gamma0,
+          *collective_coefficients(cfg.bath, cfg.gamma0)) for cfg in cfgs]).T
+    g = np.array([[gamma0, gamma12], [gamma12, gamma0]]).transpose(2, 0, 1)
+    k = np.array([[n_eff + 1.0, -m_eff], [-m_eff.conj(), n_eff]]).transpose(2, 0, 1)
+    # the kron of each layer of k with the same layer of g
+    c = (k[:, :, None, :, None] * g[:, None, :, None, :]).reshape(-1, 4, 4)
+    return omega12[:, None, None] * _EXCHANGE, c
+
+
+def _liouvillians(cfgs: list[DynamicsConfig]) -> np.ndarray:
+    """(G, 16, 16) stack of the matrices L with vec(drho/dt) = L vec(rho),
+    row-major vectorization, one per config; the configs share one model.
+    np.kron of a (G, 4, 4) stack and a 4 x 4 matrix is the kron of each layer."""
+    basis = _DISSIPATORS[cfgs[0].model]
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        try:
+            h, c = _gks_parts(cfgs)
+        except InvariantError:
+            # the first failing point in grid order reports, so a point before
+            # the one whose bath check raised may overflow its generator first
+            for cfg in cfgs[:-1]:
+                _liouvillians([cfg])
+            raise
+        eye = np.eye(4)
+        lv = (-1j * (np.kron(h, eye) - np.kron(eye, h.transpose(0, 2, 1)))
+              + (c.reshape(len(c), -1) @ basis.reshape(c[0].size, -1)).reshape(-1, 16, 16))
+    if not np.isfinite(lv).all():
+        raise InvariantError("the generator overflows at these bath parameters")
+    return lv
 
 
 def _liouvillian(cfg: DynamicsConfig) -> np.ndarray:
     """Matrix L with vec(drho/dt) = L vec(rho), row-major vectorization."""
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        h, c = _gks_parts(cfg)
-        eye = np.eye(4)
-        lv = (-1j * (np.kron(h, eye) - np.kron(eye, h.T))
-              + np.tensordot(c, _DISSIPATORS[cfg.model], 2))
-    if not np.isfinite(lv).all():
-        raise InvariantError("the generator overflows at these bath parameters")
-    return lv
+    return _liouvillians([cfg])[0]
 
 
 def lindblad_rhs(rho_mat: np.ndarray, cfg: DynamicsConfig) -> np.ndarray:
@@ -418,7 +439,7 @@ def _integrate(cfg: DynamicsConfig, axis: str = "", points: np.ndarray | None = 
     dt = cfg.resolved_dt()
     steps = _step_count(cfg)
     cfgs = [cfg] if points is None else [_cfg_at(cfg, axis, float(x)) for x in points]
-    q = _powers(_propagator(np.stack([_liouvillian(c) for c in cfgs]), dt))
+    q = _powers(_propagator(_liouvillians(cfgs), dt))
     chunk, g = q.shape[:2]
     v = np.tile(cfg.resolved_initial().mat.reshape(-1).astype(np.complex128), (g, 1))
     block = _BLOCK_ROWS // g
@@ -432,10 +453,13 @@ def _integrate(cfg: DynamicsConfig, axis: str = "", points: np.ndarray | None = 
         for k in range(1, steps + 1, chunk):
             m = min(chunk, steps + 1 - k)
             w = (q[:m] @ v[..., None])[..., 0]  # the states at steps k .. k + m - 1
-            w = 0.5 * (w + w[..., _VEC_TRANSPOSE].conj())
-            buf[n:n + m] = w
+            out = buf[n:n + m]  # gets (w + w^dagger) / 2, each 4 x 4 state hermitized
+            np.conjugate(w.reshape(m, g, 4, 4).transpose(0, 1, 3, 2),
+                         out=out.reshape(m, g, 4, 4))
+            out += w
+            out *= 0.5
             n += m
-            v = w[-1]
+            v = out[-1]
             if n < block and k + m <= steps:
                 continue
             mats = buf[:n].reshape(n, g, 4, 4)

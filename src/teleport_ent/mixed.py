@@ -42,6 +42,7 @@ basis); its eigenvector gives the unitary, and the ascent does not run.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -54,7 +55,6 @@ from .states import (
     MANIFOLD_TOL,
     DensityMatrix,
     PureDecomposition,
-    haar_unitary,
     random_isometry,
     schmidt,
     spectral_decomposition,
@@ -68,6 +68,10 @@ WEIGHT_FLOOR = 1e-14
 # stops an ascent restart when the polar step's possible gain falls to it, and
 # a descent restart when two successive steps each gain less than it (relative)
 CONVERGENCE_TOL = 1e-9
+# seeded start stacks kept per process: at most _START_STACKS of them, each
+# of at most _START_STACK_BYTES; a larger stack is drawn afresh on each call
+_START_STACKS = 16
+_START_STACK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -96,6 +100,27 @@ class OptResult:
 
 # ---------------------------------------------------------------------------
 # singlet fraction ascent
+
+def _draw_isometries(seed: int, n: int, r: int, ks: range) -> np.ndarray:
+    stack = np.empty((len(ks), n, r), dtype=np.complex128)
+    for i, k in enumerate(ks):
+        stack[i] = random_isometry(n, r, np.random.default_rng(seed ^ k))
+    stack.setflags(write=False)
+    return stack
+
+
+_cached_isometries = functools.lru_cache(maxsize=_START_STACKS)(_draw_isometries)
+
+
+def _seeded_isometries(seed: int, n: int, r: int, ks: range) -> np.ndarray:
+    """Read-only (len(ks), n, r) stack whose layer for k is
+    random_isometry(n, r, default_rng(seed ^ k)): the seeded starts of both
+    searches, drawn once per process unless the stack is over
+    _START_STACK_BYTES.  Callers take copies."""
+    if len(ks) * n * r * 16 > _START_STACK_BYTES:
+        return _draw_isometries(seed, n, r, ks)
+    return _cached_isometries(seed, n, r, ks)
+
 
 def _polar(m: np.ndarray) -> np.ndarray:
     """Polar factor W X^dagger of m = W S X^dagger: the unitary (or isometry)
@@ -202,10 +227,10 @@ def singlet_fraction_mixed(rho: DensityMatrix, cfg: OptimizerConfig | None = Non
         best_u = _fef_2qubit_optimal_unitary(rho)
         best_val, best_conv, best_iters = float(_fractions(rho_mat, best_u[None], d)[0]), True, 0
     else:
-        starts = [_top_eigvec_warm_start(rho), np.eye(d, dtype=np.complex128)]
-        starts += [haar_unitary(d, np.random.default_rng(cfg.seed ^ idx))
-                   for idx in range(2, cfg.restarts)]
-        runs = _ascend(rho_mat, d, np.array(starts[:cfg.restarts]), cfg)
+        fixed = np.array([_top_eigvec_warm_start(rho), np.eye(d, dtype=np.complex128)])
+        drawn = _seeded_isometries(cfg.seed, d, d, range(2, cfg.restarts))
+        starts = np.concatenate([fixed, drawn])
+        runs = _ascend(rho_mat, d, starts[:cfg.restarts], cfg)
         best_val, best_u, best_conv, best_iters = max(runs, key=lambda run: run[0])
     dev = np.abs(best_u.conj().T @ best_u - np.eye(d)).max()
     if dev > MANIFOLD_TOL:
@@ -470,16 +495,14 @@ def _zero_stage(comps: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, int] | No
 
 def _roof_starts(spectral: PureDecomposition, cfg: OptimizerConfig) -> np.ndarray:
     """The (R, ENSEMBLE_FACTOR r, r) stack of descent starts: the spectral
-    decomposition, then seeded random isometries, start k drawn from
-    default_rng(seed ^ k).  The spectral start's zero rows have zero gradient
-    and stay zero, so it searches r-member ensembles only, by design; it is
-    often the best start for e_d2."""
+    decomposition, then the seeded random isometries of `_seeded_isometries`,
+    start k drawn from default_rng(seed ^ k).  The spectral start's zero
+    rows have zero gradient and stay zero, so it searches r-member ensembles
+    only, by design; it is often the best start for e_d2."""
     r = len(spectral.states)
     n = ENSEMBLE_FACTOR * r
-    starts = [np.eye(n, r, dtype=np.complex128)]
-    while len(starts) < cfg.restarts:
-        starts.append(random_isometry(n, r, np.random.default_rng(cfg.seed ^ len(starts))))
-    return np.array(starts)
+    drawn = _seeded_isometries(cfg.seed, n, r, range(1, cfg.restarts))
+    return np.concatenate([np.eye(n, r, dtype=np.complex128)[None], drawn])
 
 
 # Wootters' real orthogonal mix of four members: every entry squares to 1/4,

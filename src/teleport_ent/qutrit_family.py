@@ -6,7 +6,8 @@ whose average e_32 admits a closed-form expression.  It exercises the
 convex-roof searches end to end: the declared ensemble is an upper bound
 certificate that the unseeded search is measured against.
 
-Building blocks (amplitudes in the computational product basis):
+Building blocks (amplitudes in the computational product basis), built
+once per process; each is a frozen state with read-only arrays:
 
     psi  = (|00> + |11> - exp(i pi/3) |22>) / sqrt(3)
     phi  = (|00> + |11>) / sqrt(2)
@@ -23,6 +24,7 @@ rho_f(0) is the pure state phi; rho_f(1/2) is rho_c.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -45,6 +47,7 @@ def _pure(amp: np.ndarray) -> PureBipartiteState:
     return PureBipartiteState(d=D, amp=amp / np.linalg.norm(amp))
 
 
+@functools.cache
 def psi_state() -> PureBipartiteState:
     amp = np.zeros((3, 3), dtype=np.complex128)
     amp[0, 0] = 1.0
@@ -53,6 +56,7 @@ def psi_state() -> PureBipartiteState:
     return _pure(amp)
 
 
+@functools.cache
 def phi_state() -> PureBipartiteState:
     amp = np.zeros((3, 3), dtype=np.complex128)
     amp[0, 0] = 1.0
@@ -67,12 +71,14 @@ def _chi_vectors() -> tuple[np.ndarray, np.ndarray]:
     return a + b, a - b
 
 
+@functools.cache
 def chi_states() -> tuple[PureBipartiteState, PureBipartiteState]:
     """Normalized chi states. chi1 normalizes to the product state |22>."""
     c0, c1 = _chi_vectors()
     return (_pure(c0.reshape(3, 3)), _pure(c1.reshape(3, 3)))
 
 
+@functools.cache
 def rho_c() -> DensityMatrix:
     c0, c1 = _chi_vectors()
     mat = 0.5 * (np.outer(c0, c0.conj()) + np.outer(c1, c1.conj()))

@@ -12,7 +12,7 @@ import pytest
 from teleport_ent import (DensityMatrix, PureBipartiteState, random_density_matrix,
                           random_pure_state)
 from teleport_ent import stateio
-from teleport_ent.cli import MAX_RESTARTS, main
+from teleport_ent.cli import MAX_RESTARTS, build_parser, main
 from teleport_ent.errors import StateParseError
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -487,6 +487,67 @@ def test_seeded_commands_ignore_seed_env_var(tmp_path, capsys, monkeypatch, raw,
     assert code == 0 and out
     if argv[0] == "random":
         assert "seed=1729" in out
+
+
+def test_main_keeps_no_state_between_calls(tmp_path, capsys):
+    # the searches keep their seeded starts for the process; an argparse exit
+    # or an input error between two runs of a command must not change what
+    # the command prints
+    state = str(tmp_path / "rho.txt")
+    stateio.write_state_file(state, random_density_matrix(2, np.random.default_rng(1804)))
+    bad = tmp_path / "bad.txt"
+    bad.write_text("dm x\n", encoding="utf-8")
+    commands = [
+        ("analyze", state),
+        ("bounds", "--d", "3"),
+        ("dynamics", "--t-max", "0.01", "--dt", "1e-3"),
+        ("qutrit-example", "--p", "0.3"),
+        ("random", "dm", "--d", "2", "--seed", "5"),
+    ]
+    argparse_errors = [
+        ("analyze", state, "--restarts", "0"),
+        ("bounds",),
+        ("dynamics", "--model", "nope"),
+        ("qutrit-example", "--p", "0.3", "--bogus"),
+        ("random", "mixed", "--d", "2"),
+    ]
+
+    def observe(argv):
+        code = _exit_code(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, [ln for ln in captured.err.splitlines()
+                                    if "wall_time_s" not in ln]
+
+    sequence = []
+    for good, wrong in zip(commands, argparse_errors):
+        sequence += [good, wrong, ("analyze", str(bad))]
+    first = [observe(argv) for argv in sequence]
+    assert [code for code, _, _ in first] == [0, 2, 2] * len(commands)
+    assert all(out for code, out, _ in first if code == 0)
+    assert [observe(argv) for argv in sequence] == first
+
+
+@pytest.mark.parametrize("argv", [
+    (), ("--help",), ("nope",), ("--version",),
+    ("analyze", "--help"), ("bounds", "--help"), ("dynamics", "--help"),
+    ("qutrit-example", "--help"), ("random", "--help"),
+    ("analyze", "f.dm", "--seed", "3"), ("analyze", "random"), ("analyze",),
+    ("bounds", "--d", "2", "--bogus"), ("bounds", "--seed", "1"),
+    ("dynamics", "--T", "0.5", "--sweep", "r12=0.1:1:3", "--out", "x.csv"),
+    ("dynamics", "--model", "nope"), ("qutrit-example", "--p", "0.3", "--restarts", "4"),
+    ("random", "dm", "--d", "3", "--rank", "2"), ("random", "analyze", "--d", "2"),
+], ids=lambda argv: " ".join(argv) or "empty")
+def test_parser_for_argv_parses_as_the_full_parser(argv, capsys):
+    # main gives only the subcommands named in argv their arguments; what it
+    # parses, prints or rejects must be what the parser with all of them gives
+    def outcome(parser):
+        try:
+            result = vars(parser.parse_args(list(argv)))
+        except SystemExit as exc:
+            result = exc.code
+        captured = capsys.readouterr()
+        return result, captured.out, captured.err
+    assert outcome(build_parser(list(argv))) == outcome(build_parser())
 
 
 @pytest.mark.parametrize("kind", ["pure", "dm"])

@@ -85,7 +85,7 @@ def test_rhs_matches_operator_form(model, bath):
     """L vec(rho) against -i[H, rho] + sum_ab c_ab (J_b rho J_a^dag
     - {J_a^dag J_b, rho}/2), with no vectorization involved."""
     cfg = DynamicsConfig(model=model, bath=bath, gamma0=0.5, t_max=1.0)
-    h, c = dyn._gks_parts(cfg)
+    (h,), (c,) = dyn._gks_parts([cfg])
     jumps = dyn._JUMPS[model]
     rng = np.random.default_rng(41)
     for _ in range(3):
@@ -400,6 +400,20 @@ def test_sweep_aborts_on_one_unstable_point():
         sweep(cfg, "r12", np.array([0.5, 0.05, 1.0]))
 
 
+@pytest.mark.parametrize("axis,grid,message", [
+    ("squeeze_r", [400.0, 800.0], "the generator overflows"),
+    ("squeeze_r", [800.0, 400.0], "squeeze magnitude 800.0 overflows"),
+    ("r12", [1e-103, 0.0], "the generator overflows"),
+    ("r12", [0.0, 1e-103], "the coherent shift needs a positive separation"),
+], ids=["squeeze_overflow_first", "squeeze_check_first", "r12_overflow_first",
+        "r12_check_first"])
+def test_sweep_reports_its_first_failing_point(axis, grid, message):
+    # r = 400 and r12 = 1e-103 pass the bath checks but overflow the generator;
+    # r = 800 and r12 = 0 fail the checks
+    with pytest.raises(InvariantError, match=message):
+        sweep(DynamicsConfig(t_max=0.01), axis, np.array(grid))
+
+
 @pytest.mark.parametrize("field", ["temperature", "squeeze_r", "squeeze_phi", "r12"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_bath_rejects_non_finite(field, value):
@@ -532,3 +546,40 @@ def test_x_runs_make_no_lapack_call(monkeypatch):
     assert len(traj) == 1001 and traj.concurrence[0] > 0.9
     cfg = dataclasses.replace(cfg, t_max=0.05, initial=antisymmetric_initial_state())
     assert len(sweep(cfg, "r12", np.linspace(0.3, 3.0, 5)).rows) == 5
+
+
+def _generator_at(cfg):
+    """L of one config as built point by point before grids were batched:
+    its Hamiltonian and coefficient matrix, three krons and a tensordot."""
+    n_eff, m_eff = squeezed_occupations(cfg.bath)
+    if cfg.model is ModelKind.QND:
+        kappa = coupling_kernel(cfg.bath.r12)
+        scale = 0.25 * cfg.gamma0 * (2.0 * n_eff + 1.0)
+        h = np.zeros((4, 4), dtype=np.complex128)
+        c = scale * np.array([[1.0, kappa], [kappa, 1.0]], dtype=np.complex128)
+    else:
+        gamma12, omega12 = dyn.collective_coefficients(cfg.bath, cfg.gamma0)
+        g = np.array([[cfg.gamma0, gamma12], [gamma12, cfg.gamma0]])
+        k = np.array([[n_eff + 1.0, -m_eff], [-np.conj(m_eff), n_eff]])
+        h, c = omega12 * dyn._EXCHANGE, np.kron(k, g)
+    eye = np.eye(4)
+    return (-1j * (np.kron(h, eye) - np.kron(eye, h.T))
+            + np.tensordot(c, dyn._DISSIPATORS[cfg.model], 2))
+
+
+@pytest.mark.parametrize("axis", ["r12", "squeeze_r"])
+@pytest.mark.parametrize("model", list(ModelKind))
+def test_batched_generators_equal_the_per_point_formula(model, axis):
+    # a grid's generators come from one batched build; each layer, and a
+    # one-point build, must carry the bits of the per-point formula
+    rng = np.random.default_rng(71)
+    for _ in range(20):
+        bath = BathParams(temperature=float(rng.uniform(0.0, 3.0)),
+                          squeeze_r=float(rng.uniform(0.0, 2.0)),
+                          squeeze_phi=float(rng.uniform(-3.0, 3.0)),
+                          r12=float(rng.uniform(0.01, 3.0)))
+        base = DynamicsConfig(model=model, bath=bath, gamma0=float(rng.uniform(0.1, 2.0)))
+        cfgs = [dyn._cfg_at(base, axis, float(x)) for x in rng.uniform(0.01, 2.0, 28)]
+        want = np.array([_generator_at(cfg) for cfg in cfgs])
+        assert dyn._liouvillians(cfgs).tobytes() == want.tobytes()
+        assert dyn._liouvillian(base).tobytes() == _generator_at(base).tobytes()

@@ -42,6 +42,15 @@ def test_chi_norms_and_members():
     assert abs(e_d2(schmidt(c0), 3) - 2 * math.sqrt(2) / 3) < 1e-12
 
 
+def test_building_blocks_are_shared_and_read_only():
+    # built once per process, so no caller may be able to change them
+    blocks = [psi_state(), phi_state(), *chi_states()]
+    assert all(a is b for a, b in zip([psi_state(), phi_state(), *chi_states()], blocks))
+    assert rho_c() is rho_c()
+    for arr in [b.amp for b in blocks] + [rho_c().mat]:
+        assert not arr.flags.writeable
+
+
 def test_rho_c_two_forms_agree():
     direct = rho_c().mat
     alt = 0.6 * psi_state().projector() + 0.4 * phi_state().projector()

@@ -159,3 +159,57 @@ def test_default_config_reproduces_the_cli_report(tmp_path):
     golden = dict((k.strip(), v) for k, v in (ln.split(" = ") for ln in lines[1:]))
     for key in ("negativity", "singlet_fraction", "fidelity", "e_d2", "e_d3"):
         assert stateio.format_value(getattr(rep, key)) == golden[key], key
+
+
+@pytest.mark.parametrize("seed", [mixed.DEFAULT_SEED, 5])
+@pytest.mark.parametrize("restarts", [1, 2, 8])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_cached_starts_equal_fresh_draws(d, restarts, seed):
+    # the ascent's seeded unitaries, drawn once per process: starts 2 .. R - 1
+    drawn = mixed._seeded_isometries(seed, d, d, range(2, restarts))
+    fresh = [haar_unitary(d, np.random.default_rng(seed ^ k)) for k in range(2, restarts)]
+    assert drawn.shape == (max(restarts - 2, 0), d, d)
+    assert drawn.tobytes() == np.array(fresh, dtype=np.complex128).tobytes()
+    # the descent's starts, 1 .. R - 1 behind the spectral one
+    rho = random_density_matrix(d, np.random.default_rng([d, 60]), rank={2: None, 3: 3, 4: 2}[d])
+    spectral = spectral_decomposition(rho)
+    r = len(spectral.states)
+    n = ENSEMBLE_FACTOR * r
+    want = [np.eye(n, r, dtype=np.complex128)]
+    want += [random_isometry(n, r, np.random.default_rng(seed ^ k)) for k in range(1, restarts)]
+    got = mixed._roof_starts(spectral, OptimizerConfig(restarts=restarts, seed=seed))
+    assert got.shape == (restarts, n, r) and got.tobytes() == np.array(want).tobytes()
+    assert got.flags.writeable
+
+
+def test_cached_starts_are_read_only():
+    stack = mixed._seeded_isometries(mixed.DEFAULT_SEED, 6, 3, range(1, 8))
+    assert stack is mixed._seeded_isometries(mixed.DEFAULT_SEED, 6, 3, range(1, 8))
+    assert not stack.flags.writeable
+    with pytest.raises(ValueError):
+        stack[0, 0, 0] = 0.0
+
+
+def test_start_stacks_over_the_byte_cap_are_not_kept():
+    # 129 isometries of 32 x 16 are just over 1 MiB: drawn on every call,
+    # with the same bits as the kept stack of one layer fewer
+    ks = range(1, 130)
+    assert len(ks) * 32 * 16 * 16 > mixed._START_STACK_BYTES
+    big = mixed._seeded_isometries(mixed.DEFAULT_SEED, 32, 16, ks)
+    assert big is not mixed._seeded_isometries(mixed.DEFAULT_SEED, 32, 16, ks)
+    assert not big.flags.writeable
+    kept = mixed._seeded_isometries(mixed.DEFAULT_SEED, 32, 16, range(1, 129))
+    assert kept is mixed._seeded_isometries(mixed.DEFAULT_SEED, 32, 16, range(1, 129))
+    assert big[:-1].tobytes() == kept.tobytes()
+
+
+@pytest.mark.parametrize("search", [mixed.singlet_fraction_mixed, mixed.e_d2_mixed],
+                         ids=["singlet_fraction", "e_d2"])
+def test_mutating_a_result_leaves_the_next_search_unchanged(search):
+    rho = random_density_matrix(3, np.random.default_rng([3, 61]), rank=3)
+    first = search(rho)
+    kept = first.argument_unitary.copy()
+    first.argument_unitary[...] = 0.0
+    again = search(rho)
+    assert again.value == first.value
+    assert again.argument_unitary.tobytes() == kept.tobytes()
