@@ -220,17 +220,20 @@ def _cmd_random(args) -> int:
     return 0
 
 
+def _search_arguments(p: argparse.ArgumentParser) -> None:
+    """The optimizers' settings, for the commands that run a search."""
+    p.add_argument("--restarts", type=_int_at_least(1, at_most=MAX_RESTARTS),
+                   default=mixed.OptimizerConfig.restarts)
+    p.add_argument("--seed", type=_int_at_least(0), default=mixed.DEFAULT_SEED)
+
+
 def _analyze_arguments(pa: argparse.ArgumentParser) -> None:
     pa.add_argument("state", help="path to a state file (pure or dm)")
-    pa.add_argument("--restarts", type=_int_at_least(1, at_most=MAX_RESTARTS),
-                    default=mixed.OptimizerConfig.restarts)
-    pa.add_argument("--seed", type=_int_at_least(0), default=mixed.DEFAULT_SEED)
-    pa.set_defaults(func=_cmd_analyze)
+    _search_arguments(pa)
 
 
 def _bounds_arguments(pb: argparse.ArgumentParser) -> None:
     pb.add_argument("--d", type=_int_at_least(2), required=True)
-    pb.set_defaults(func=_cmd_bounds)
 
 
 def _dynamics_arguments(pd: argparse.ArgumentParser) -> None:
@@ -253,15 +256,11 @@ def _dynamics_arguments(pd: argparse.ArgumentParser) -> None:
     pd.add_argument("--out", default=None, help="CSV path (default stdout)")
     pd.add_argument("--sweep", metavar="AXIS=LO:HI:N",
                     help=f"sweep one of {dyn.SWEEP_AXES} and report endpoints")
-    pd.set_defaults(func=_cmd_dynamics)
 
 
 def _qutrit_example_arguments(pq: argparse.ArgumentParser) -> None:
     pq.add_argument("--p", type=float, required=True, help="family parameter in [0, 1/2]")
-    pq.add_argument("--restarts", type=_int_at_least(1, at_most=MAX_RESTARTS),
-                    default=mixed.OptimizerConfig.restarts)
-    pq.add_argument("--seed", type=_int_at_least(0), default=mixed.DEFAULT_SEED)
-    pq.set_defaults(func=_cmd_qutrit_example)
+    _search_arguments(pq)
 
 
 def _random_arguments(pr: argparse.ArgumentParser) -> None:
@@ -270,16 +269,16 @@ def _random_arguments(pr: argparse.ArgumentParser) -> None:
     pr.add_argument("--rank", type=_int_at_least(1), default=None)
     pr.add_argument("--seed", type=_int_at_least(0), default=mixed.DEFAULT_SEED)
     pr.add_argument("--out", default=None)
-    pr.set_defaults(func=_cmd_random)
 
 
-# subcommand: (its line in the top-level help, what adds its arguments and handler)
+# subcommand: (its line in the top-level help, what adds its arguments, its handler)
 _COMMANDS = {
-    "analyze": ("measure report for a state file", _analyze_arguments),
-    "bounds": ("thresholds and band ceilings for a dimension", _bounds_arguments),
-    "dynamics": ("open-system trajectories and sweeps", _dynamics_arguments),
-    "qutrit-example": ("built-in two-qutrit family", _qutrit_example_arguments),
-    "random": ("write a seeded random state file", _random_arguments),
+    "analyze": ("measure report for a state file", _analyze_arguments, _cmd_analyze),
+    "bounds": ("thresholds and band ceilings for a dimension", _bounds_arguments, _cmd_bounds),
+    "dynamics": ("open-system trajectories and sweeps", _dynamics_arguments, _cmd_dynamics),
+    "qutrit-example": ("built-in two-qutrit family", _qutrit_example_arguments,
+                       _cmd_qutrit_example),
+    "random": ("write a seeded random state file", _random_arguments, _cmd_random),
 }
 
 
@@ -295,8 +294,9 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
         description="entanglement and teleportation diagnostics for d x d states")
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, (help_line, add_arguments) in _COMMANDS.items():
+    for name, (help_line, add_arguments, handler) in _COMMANDS.items():
         parser = sub.add_parser(name, help=help_line)
+        parser.set_defaults(func=handler)
         if argv is None or name in argv:
             add_arguments(parser)
     return p

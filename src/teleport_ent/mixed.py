@@ -269,17 +269,18 @@ class _RoofObjective:
         self.d = d
         self.kind = kind
 
-    def of_members(self, psi: np.ndarray) -> float:
-        """Certified value of the (m, d*d) members psi; inf when e_d2 or e_d3
-        meets a member of Schmidt rank above three."""
+    def of_members(self, psi: np.ndarray) -> np.ndarray:
+        """Certified value of each ensemble in the (..., m, d*d) member stack
+        psi; inf where e_d2 or e_d3 meets a member of Schmidt rank above three."""
         d = self.d
         a = psi.reshape(-1, d, d)
+        vals = self.terms(a)[0].reshape(psi.shape[:-1]).sum(axis=-1)
         if d >= 4 and self.kind != "neg":
             s2 = np.linalg.svd(a, compute_uv=False) ** 2
             p = s2.sum(axis=1, keepdims=True)
-            if np.any((s2[:, 3:] > DEFAULT_RANK_TOL * p) & (p > WEIGHT_FLOOR)):
-                return math.inf
-        return float(self.terms(a)[0].sum())
+            capped = ((s2[:, 3:] > DEFAULT_RANK_TOL * p) & (p > WEIGHT_FLOOR)).any(axis=1)
+            vals = np.where(capped.reshape(psi.shape[:-1]).any(axis=-1), math.inf, vals)
+        return vals
 
     def terms(self, a: np.ndarray, mu: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
         """Member values of an (n, d, d) stack and their gradients under the
@@ -437,11 +438,10 @@ def _descend(obj: _RoofObjective, comps: np.ndarray, v0: np.ndarray,
     for mu in ((_E3_MU, 0.0) if obj.kind == "e3" else (0.0,)):
         v, converged, used = _cg_stage(obj, comps, v, mu, cfg.max_iters - steps)
         steps += used
-    runs = []
-    for vk, vk0, conv, n in zip(v, v0, converged.tolist(), steps.tolist()):
-        val, val0 = obj.of_members(vk @ comps), obj.of_members(vk0 @ comps)
-        runs.append((val, vk, conv, n) if val <= val0 else (val0, vk0, conv, n))
-    return runs
+    val, val0 = obj.of_members(v @ comps), obj.of_members(v0 @ comps)
+    keep = val <= val0
+    return list(zip(np.where(keep, val, val0).tolist(),
+                    np.where(keep[:, None, None], v, v0), converged.tolist(), steps.tolist()))
 
 
 # At d = 3 the e_d3 roof is 0 exactly when rho has an ensemble whose members
@@ -587,7 +587,7 @@ def _roof_search(rho: DensityMatrix, kind: str, cfg: OptimizerConfig) -> OptResu
         else:
             runs = _descend(obj, comps, starts, cfg)
             _, best_vm, best_conv, best_steps = min(runs, key=lambda run: run[0])
-    best_val = obj.of_members(best_vm @ comps)
+    best_val = float(obj.of_members(best_vm @ comps))
     if math.isinf(best_val):
         return OptResult(value=None, argument_unitary=None, converged=False,
                          iterations_used=0)
@@ -601,7 +601,7 @@ def _roof_search(rho: DensityMatrix, kind: str, cfg: OptimizerConfig) -> OptResu
 def cren_upper_bound(rho: DensityMatrix, decomposition: PureDecomposition) -> float:
     """Ensemble-averaged pure negativity; an upper bound on the convex roof."""
     validated_decomposition(decomposition.weights, decomposition.states, rho)
-    return _RoofObjective(rho.d, "neg").of_members(decomposition.members())
+    return float(_RoofObjective(rho.d, "neg").of_members(decomposition.members()))
 
 
 def cren_estimate(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> OptResult:
@@ -648,7 +648,11 @@ def e_d3_mixed(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> OptRes
 
 
 def classify_mixed(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> MeasureReport:
-    """Measure report for a mixed state, rank band judged from e_d2_mixed."""
+    """Measure report for a mixed state, rank band judged from e_d2_mixed.
+    A state of spectral rank 1 gets its pure state's report."""
+    spectral = spectral_decomposition(rho)
+    if len(spectral.states) == 1:
+        return measures.analyze_pure(spectral.states[0])
     cfg = cfg or OptimizerConfig()
     d = rho.d
     n = measures.negativity_mixed(rho)
@@ -656,7 +660,6 @@ def classify_mixed(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> Me
     f = float(f_res.value)
     fid = measures.fidelity_from_fraction(f, d)
     useful = measures.is_useful(f, d)
-    spectral = spectral_decomposition(rho)
     rank = max(schmidt(st).schmidt_rank for st in spectral.states)
     e2_res = e_d2_mixed(rho, cfg)
     e2 = e2_res.value

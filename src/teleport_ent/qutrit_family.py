@@ -145,7 +145,7 @@ def e32_closed_form(p: float) -> float:
 
 def declared_decomposition_value(params: FamilyParams) -> float:
     """Average e_32 over the declared ensemble (an upper bound on the roof)."""
-    return _RoofObjective(D, "e2").of_members(declared_decomposition(params).members())
+    return float(_RoofObjective(D, "e2").of_members(declared_decomposition(params).members()))
 
 
 @dataclass(frozen=True)

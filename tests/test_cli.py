@@ -2,6 +2,7 @@
 
 import math
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 
 from teleport_ent import (DensityMatrix, PureBipartiteState, random_density_matrix,
                           random_pure_state)
-from teleport_ent import stateio
+from teleport_ent import __version__, stateio
 from teleport_ent.cli import MAX_RESTARTS, build_parser, main
 from teleport_ent.errors import StateParseError
 
@@ -63,6 +64,20 @@ def test_analyze_pure_exit_and_output(tmp_path, capsys):
     assert "schmidt_rank" in out and "= 2" in out
     assert "negativity" in out
     assert "1.000000000000" in out  # maximally entangled
+
+
+def test_analyze_rank1_dm_prints_the_pure_report(tmp_path, capsys):
+    # the band law alone would put this rank-3 state's e_d2 = 0.799 in rank 2
+    st = PureBipartiteState(d=3, amp=np.diag(np.sqrt([0.7, 0.29, 0.01])).astype(complex))
+    reports = []
+    for name, obj in (("pure.txt", st), ("dm.txt", DensityMatrix.from_pure(st))):
+        stateio.write_state_file(str(tmp_path / name), obj)
+        code, out, _ = run(capsys, "analyze", str(tmp_path / name))
+        assert code == 0
+        reports.append([ln for ln in out.splitlines()[1:]
+                        if not ln.startswith("largest_schmidt_coeff")])
+    assert reports[0] == reports[1]
+    assert "rank_class               = rank3_useful" in reports[1]
 
 
 def test_analyze_missing_file_exit_2(capsys):
@@ -318,18 +333,37 @@ def test_dynamics_extreme_input_exits_cleanly(capsys, argv):
     assert code in (0, 2, 3)
 
 
-def test_python_dash_m_entry_point(tmp_path):
+def run_module(cwd, *argv):
+    """`python -m teleport_ent argv` in a fresh interpreter that imports this checkout."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    done = subprocess.run(
-        [sys.executable, "-m", "teleport_ent", "dynamics", "--r12", "0.5",
-         "--t-max", "0.01", "--dt", "1e-3"],
-        capture_output=True, text=True, env=env, cwd=str(tmp_path), timeout=120)
+    return subprocess.run([sys.executable, "-m", "teleport_ent", *argv],
+                          capture_output=True, text=True, env=env, cwd=str(cwd), timeout=120)
+
+
+def test_python_dash_m_entry_point(tmp_path):
+    done = run_module(tmp_path, "dynamics", "--r12", "0.5", "--t-max", "0.01", "--dt", "1e-3")
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines[0] == "axis,C,f,F,trace_err,min_eig"
     assert len(lines) == 12
+
+
+def test_python_dash_m_version(tmp_path):
+    done = run_module(tmp_path, "--version")
+    assert (done.returncode, done.stdout) == (0, f"teleport-ent {__version__}\n")
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("bounds", "--d", "3"), 0), (("analyze", "/no/such/file.txt"), 2), (("bounds",), 2),
+])
+def test_entry_exits_with_the_status_of_main(monkeypatch, capsys, argv, code):
+    # run in this process, through __main__, so both entry lines are traced
+    monkeypatch.setattr(sys, "argv", ["teleport-ent", *argv])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("teleport_ent", run_name="__main__")
+    assert exc.value.code == code
 
 
 def test_dynamics_defaults_run_to_t_max(capsys):

@@ -15,6 +15,7 @@ from teleport_ent import (
     DensityMatrix,
     DynamicsConfig,
     InvariantError,
+    OptimizerConfig,
     PureBipartiteState,
     RankClass,
     SchmidtSpectrum,
@@ -26,6 +27,7 @@ from teleport_ent import (
     coupling_kernel,
     e_d2,
     e_d3,
+    e32_closed_form,
     fidelity_from_fraction,
     fidelity_from_negativity,
     negativity_fraction_relation_check,
@@ -268,11 +270,18 @@ _HALF_2 = SchmidtSpectrum(lambdas=np.array([0.5, 0.5]))
     (lambda: rank3_mixed_bound(2), "rank3_mixed_bound needs d >= 3"),
     (lambda: rank2_bounds(1), "rank2_bounds needs d >= 2"),
     (lambda: rank3_fidelity_lower_bound(-1.0, 3), "e3 must be nonnegative"),
+    (lambda: rank3_fidelity_lower_bound(0.5, 2), "rank3_fidelity_lower_bound needs d >= 3"),
+    (lambda: singlet_fraction_pure(SchmidtSpectrum(lambdas=np.full(3, 1 / 3)), 2),
+     "spectrum has 3 weights but d=2"),
     (lambda: concurrence_2qubit(DensityMatrix.from_matrix(np.eye(9) / 9)),
      "concurrence is defined here for d=2 only"),
+    (lambda: OptimizerConfig(restarts=0), "restarts and max_iters must be positive"),
+    (lambda: OptimizerConfig(max_iters=0), "restarts and max_iters must be positive"),
+    (lambda: e32_closed_form(0.6), "family parameter p must lie in [0, 1/2]"),
 ], ids=["max_steps_0", "kernel_negative_x", "sweep_2d_grid", "sweep_nan_grid",
         "e_d2_d1", "e_d3_d2", "identity_d2", "rank3_ceiling_d2", "rank2_bounds_d1",
-        "rank3_floor_negative_e3", "concurrence_d3"])
+        "rank3_floor_negative_e3", "rank3_floor_d2", "spectrum_longer_than_d",
+        "concurrence_d3", "restarts_0", "max_iters_0", "family_p_above_half"])
 def test_input_outside_the_model_raises(call, message):
     with pytest.raises(InvariantError, match=f"^{re.escape(message)}$"):
         call()

@@ -15,6 +15,7 @@ from teleport_ent import (
     DensityMatrix,
     InvariantError,
     OptimizerConfig,
+    analyze_pure,
     classify_mixed,
     concurrence_2qubit,
     cren_estimate,
@@ -24,6 +25,7 @@ from teleport_ent import (
     fef_2qubit_closed_form,
     negativity_mixed,
     random_density_matrix,
+    random_pure_state,
     singlet_fraction_mixed,
     spectral_decomposition,
     RankClass,
@@ -169,6 +171,22 @@ def test_classify_mixed_maximally_mixed_not_useful():
     # the rank field still reports the decomposition is product states
     assert rep.schmidt_rank == 1
     assert rep.negativity == 0.0
+
+
+@pytest.mark.parametrize("d,rank", [(d, k) for d in (2, 3, 4) for k in range(1, d + 1)])
+def test_rank1_density_matrix_gets_its_pure_report(d, rank):
+    # the same pure state, read as a density matrix, must not change its report
+    st = random_pure_state(d, np.random.default_rng([d, rank, 28]), rank=rank)
+    pure, dm = analyze_pure(st), classify_mixed(DensityMatrix.from_pure(st), FAST)
+    for rep in (pure, dm):
+        assert rep.schmidt_rank == rank
+    assert (dm.rank_class, dm.useful_for_teleportation) == (
+        pure.rank_class, pure.useful_for_teleportation)
+    if rank <= 2:
+        assert dm.e_d3 == 0.0
+    for field in ("negativity", "singlet_fraction", "fidelity", "e_d2", "e_d3"):
+        a, b = getattr(pure, field), getattr(dm, field)
+        assert (a is None and b is None) or abs(a - b) <= 1e-12, field
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,55 @@ def test_roof_restart_with_zero_gradient_stops_at_once(d, kind):
     assert all(run[3] > 0 for run in runs[1:])
 
 
+@pytest.mark.parametrize("d,kind", [(2, "neg"), (3, "neg"), (3, "e2"), (3, "e3"),
+                                    (4, "neg"), (4, "e2"), (4, "e3")])
+def test_certificate_of_a_stack_equals_each_ensemble_alone(d, kind):
+    # six ensembles of five members of Schmidt rank <= 3; at d = 4 the fourth
+    # gets one full-rank member, which the e_d2 and e_d3 cap turns into inf
+    rng = np.random.default_rng([d, 62])
+
+    def normal(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    k = min(d, 3)
+    psi = (normal(6, 5, d, k) @ normal(6, 5, k, d)).reshape(6, 5, d * d)
+    if d == 4:
+        psi[3, 2] = normal(d * d)
+    obj = mixed._RoofObjective(d, kind)
+    stacked = obj.of_members(psi)
+    alone = [obj.of_members(ens) for ens in psi]
+    assert stacked.shape == (6,) and stacked.tobytes() == np.array(alone).tobytes()
+    assert obj.of_members(psi.reshape(2, 3, 5, -1)).tobytes() == stacked.tobytes()
+    capped = np.isinf(stacked)
+    assert capped.tolist() == [d == 4 and kind != "neg" and i == 3 for i in range(6)]
+
+
+@pytest.mark.parametrize("restarts", [1, 2, 8])
+def test_descent_certifies_all_restarts_in_two_calls(monkeypatch, restarts):
+    # one certificate call values every end, one every start; the search's
+    # exit values its one chosen ensemble
+    calls = []
+    of_members, descend = mixed._RoofObjective.of_members, mixed._descend
+
+    def counted_of_members(self, psi):
+        calls.append(psi.shape)
+        return of_members(self, psi)
+
+    def counted_descend(*args):
+        before = len(calls)
+        runs = descend(*args)
+        per_descent.append(calls[before:])
+        return runs
+
+    per_descent = []
+    monkeypatch.setattr(mixed._RoofObjective, "of_members", counted_of_members)
+    monkeypatch.setattr(mixed, "_descend", counted_descend)
+    rho = random_density_matrix(3, np.random.default_rng([3, 63]), rank=3)
+    mixed.e_d2_mixed(rho, OptimizerConfig(restarts=restarts, max_iters=25))
+    assert per_descent == [[(restarts, ENSEMBLE_FACTOR * 3, 9)] * 2]
+    assert calls[2:] == [(ENSEMBLE_FACTOR * 3, 9)]
+
+
 def ascent_starts(rho, seed, count=8):
     d = rho.d
     starts = [mixed._top_eigvec_warm_start(rho), np.eye(d, dtype=np.complex128)]

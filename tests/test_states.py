@@ -1,6 +1,7 @@
 """State containers, Schmidt decomposition, ensembles, random generators."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from teleport_ent import (
     DensityMatrix,
     InvariantError,
     PureBipartiteState,
+    PureDecomposition,
     SchmidtSpectrum,
     haar_unitary,
     hjw_decomposition,
@@ -20,6 +22,7 @@ from teleport_ent import (
     spectral_decomposition,
     validated_decomposition,
 )
+from teleport_ent.states import ensure_matrix
 
 
 def bell_like(d, k):
@@ -140,3 +143,50 @@ def test_random_density_matrix_is_valid_and_seeded():
     a = random_density_matrix(3, np.random.default_rng(42))
     b = random_density_matrix(3, np.random.default_rng(42))
     np.testing.assert_array_equal(a.mat, b.mat)
+
+
+def test_hjw_drops_zero_weight_members():
+    # the identity padded with a zero row mixes in a member of zero weight
+    rho = random_density_matrix(2, np.random.default_rng(30), rank=2)
+    dec = hjw_decomposition(rho, np.eye(3, 2))
+    assert len(dec.states) == 2
+    np.testing.assert_allclose(dec.weights, spectral_decomposition(rho).weights, atol=1e-12)
+
+
+_RHO2 = random_density_matrix(2, np.random.default_rng(31), rank=2)
+_RNG = np.random.default_rng(32)
+
+
+# inputs outside each constructor's model; a sum is printed by its repr, so
+# those messages are matched up to the number
+@pytest.mark.parametrize("call,message", [
+    (lambda: ensure_matrix(np.zeros(3)), re.escape("expected a 2-D matrix, got ndim=1")),
+    (lambda: ensure_matrix(np.zeros((2, 3)), rows=3), "expected 3 rows, got 2"),
+    (lambda: ensure_matrix(np.zeros((3, 2)), cols=3), "expected 3 columns, got 2"),
+    (lambda: SchmidtSpectrum(lambdas=[]), "empty Schmidt spectrum"),
+    (lambda: SchmidtSpectrum(lambdas=[1.5, -0.5]), "negative Schmidt weight"),
+    (lambda: SchmidtSpectrum(lambdas=[0.4, 0.6]), "Schmidt weights must be sorted descending"),
+    (lambda: SchmidtSpectrum(lambdas=[0.5, 0.4]), r"Schmidt weights sum to .*0\.9\)?, not 1"),
+    (lambda: DensityMatrix.from_matrix(np.eye(5) / 5), "matrix side 5 is not a perfect square"),
+    (lambda: PureDecomposition(weights=[1.0], states=(bell_like(2, 2),) * 2),
+     "weights and states length mismatch"),
+    (lambda: PureDecomposition(weights=[1.5, -0.5], states=(bell_like(2, 2),) * 2),
+     "decomposition weights must be positive"),
+    (lambda: PureDecomposition(weights=[0.5, 0.4], states=(bell_like(2, 2),) * 2),
+     r"decomposition weights sum to .*0\.9\)?"),
+    (lambda: hjw_decomposition(_RHO2, np.eye(2, 3)), "mix has 3 columns, expected rank 2"),
+    (lambda: hjw_decomposition(_RHO2, np.eye(5, 2)), "mix must have between 2 and 4 rows, got 5"),
+    (lambda: hjw_decomposition(_RHO2, np.eye(1, 2)), "mix must have between 2 and 4 rows, got 1"),
+    (lambda: random_isometry(2, 3, _RNG), "isometry needs at least as many rows as columns"),
+    (lambda: random_spectrum(3, _RNG, rank=0), re.escape("rank must lie in [1, 3]")),
+    (lambda: random_spectrum(3, _RNG, rank=4), re.escape("rank must lie in [1, 3]")),
+    (lambda: random_density_matrix(2, _RNG, rank=0), re.escape("rank must lie in [1, 4]")),
+    (lambda: random_density_matrix(2, _RNG, rank=5), re.escape("rank must lie in [1, 4]")),
+], ids=["matrix_ndim", "matrix_rows", "matrix_cols", "spectrum_empty", "spectrum_negative",
+        "spectrum_unsorted", "spectrum_sum", "dm_side_not_square", "ensemble_lengths",
+        "ensemble_weight_negative", "ensemble_sum", "hjw_columns", "hjw_rows_above",
+        "hjw_rows_below", "isometry_wide", "spectrum_rank_0", "spectrum_rank_above_d",
+        "dm_rank_0", "dm_rank_above_d2"])
+def test_input_outside_the_model_raises(call, message):
+    with pytest.raises(InvariantError, match=f"^{message}$"):
+        call()
