@@ -11,8 +11,10 @@ Two search engines live here:
   measures: negativity (a CREN upper bound) and the rank-aware e_d2 / e_d3.
   The value is the measure averaged over the returned decomposition, so it
   is an upper bound on the roof.  The descent and this certificate evaluate
-  the members with the same formulas (`_RoofObjective.terms`); the
-  certificate adds only the rank-3 cap of e_d2 / e_d3 at d >= 4.
+  the members with the same formulas (`_RoofObjective.values`); the
+  certificate adds only the rank-3 cap of e_d2 / e_d3 at d >= 4, and takes
+  no gradient.  The descent values each Armijo trial only, and takes one
+  gradient per step, built from what valuing the accepted trial computed.
   At d = 2 every such measure is 2|det A| per member, whose roof is
   Wootters' concurrence, so the decomposition is Wootters' optimal ensemble,
   built in closed form, and the descent does not run.  At d = 3 the e_d3
@@ -262,7 +264,9 @@ class _RoofObjective:
     singular values s.  In these terms negativity is 2 sum_{i<j} s_i s_j/(d-1),
     e_d2 is sqrt(2d/(d-1) sum_{i<j} s_i^2 s_j^2) and e_d3 is
     (6d^2/((d-1)(d-2)) (s1 s2 s3)^2)^(1/3); at d = 2 every measure is 2|det A|.
-    `terms` holds the one formula per measure and dimension, for descent and certificate.
+    `values` holds the one formula per measure and dimension, for descent and
+    certificate; `gradient` turns what `values` kept of its work into the
+    members' gradients, so a point whose gradient is never read costs none.
     """
 
     def __init__(self, d: int, kind: str):
@@ -274,7 +278,7 @@ class _RoofObjective:
         psi; inf where e_d2 or e_d3 meets a member of Schmidt rank above three."""
         d = self.d
         a = psi.reshape(-1, d, d)
-        vals = self.terms(a)[0].reshape(psi.shape[:-1]).sum(axis=-1)
+        vals = self.values(a)[0].reshape(psi.shape[:-1]).sum(axis=-1)
         if d >= 4 and self.kind != "neg":
             s2 = np.linalg.svd(a, compute_uv=False) ** 2
             p = s2.sum(axis=1, keepdims=True)
@@ -282,29 +286,27 @@ class _RoofObjective:
             vals = np.where(capped.reshape(psi.shape[:-1]).any(axis=-1), math.inf, vals)
         return vals
 
-    def terms(self, a: np.ndarray, mu: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-        """Member values of an (n, d, d) stack and their gradients under the
-        real inner product Re tr(X^dagger Y).  For e_d2 and e_d3 at d = 3 they
-        come from the cofactors without an SVD: e_d3 is 3 |det A|^(2/3), and
-        e_d2 is sqrt(3 sum |C|^2), since sum_{i<j} s_i^2 s_j^2 is the squared
-        norm of the 2 x 2 minors.  mu smooths e_d3 at det = 0 by adding mu^2
-        to (s1 s2 s3)^2."""
+    def values(self, a: np.ndarray, mu: float = 0.0) -> tuple[np.ndarray, tuple]:
+        """Member values of an (n, d, d) stack, and the intermediates of each
+        member that `gradient` needs, as arrays with the members on the first
+        axis: the members and values for e_d2 at d = 3, the cofactors, det and
+        x for e_d3 at d = 3, and W, ds, X^dagger of the SVD otherwise.  For
+        e_d2 and e_d3 at d = 3 the values come from the cofactors without an
+        SVD: e_d3 is 3 |det A|^(2/3), and e_d2 is sqrt(3 sum |C|^2), since
+        sum_{i<j} s_i^2 s_j^2 is the squared norm of the 2 x 2 minors.  mu
+        smooths e_d3 at det = 0 by adding mu^2 to (s1 s2 s3)^2.  The full SVD
+        is taken even where only s enters the value: the singular values of
+        compute_uv=False mostly differ from its s in the last bits."""
         d = self.d
         if d == 3 and self.kind != "neg":
             cof = _cofactors(a)
             if self.kind == "e2":
-                # d sum|C|^2 = d (p^2 - tr h^2) / 2 = 2 Re tr((pA - hA)^dagger dA), h = AA^dagger
                 vals = np.sqrt(3.0 * (cof * cof.conj()).real.sum(axis=(1, 2)))
-                h = a @ a.conj().transpose(0, 2, 1)
-                p = (a * a.conj()).real.sum(axis=(1, 2))
-                scale = 3.0 / np.where(vals > 0.0, vals, np.inf)
-                return vals, scale[:, None, None] * (p[:, None, None] * a - h @ a)
-            # k (|det|^2 + mu^2)^e; with the cofactors C, d|det|^2 = 2 Re(conj(det) sum C dA)
-            k, e = 3.0, 1.0 / 3.0
+                return vals, (a, vals)
+            # 3 (|det|^2 + mu^2)^(1/3)
             det = (a[:, 0] * cof[:, 0]).sum(axis=1)
             x = (det * det.conj()).real + mu * mu
-            scale = 2.0 * k * e * np.where(x > 0.0, x, np.inf) ** (e - 1.0) * det
-            return k * x ** e, scale[:, None, None] * cof.conj()
+            return 3.0 * x ** (1.0 / 3.0), (cof, det, x)
         w, s, xh = np.linalg.svd(a)
         if self.kind == "neg":
             # 2 sum_{i<j} s_i s_j = sum_j s_j (sum s - s_j), a sum of terms >= 0
@@ -328,7 +330,31 @@ class _RoofObjective:
             dx = 2.0 * s[:, :3] * t2[:, _ROT1] * t2[:, _ROT2]
             ds = np.zeros_like(s)
             ds[:, :3] = k / 3.0 * np.where(x > 0.0, x, np.inf)[:, None] ** (-2.0 / 3.0) * dx
-        return vals, (w * ds[:, None, :]) @ xh
+        return vals, (w, ds, xh)
+
+    def gradient(self, parts: tuple) -> np.ndarray:
+        """Gradients, under the real inner product Re tr(X^dagger Y), of the
+        members whose intermediates `values` returned as parts."""
+        if self.d == 3 and self.kind == "e2":
+            # d sum|C|^2 = d (p^2 - tr h^2) / 2 = 2 Re tr((pA - hA)^dagger dA), h = AA^dagger
+            a, vals = parts
+            h = a @ a.conj().transpose(0, 2, 1)
+            p = (a * a.conj()).real.sum(axis=(1, 2))
+            scale = 3.0 / np.where(vals > 0.0, vals, np.inf)
+            return scale[:, None, None] * (p[:, None, None] * a - h @ a)
+        if self.d == 3 and self.kind == "e3":
+            # with the cofactors C, d|det|^2 = 2 Re(conj(det) sum C dA)
+            cof, det, x = parts
+            k, e = 3.0, 1.0 / 3.0
+            scale = 2.0 * k * e * np.where(x > 0.0, x, np.inf) ** (e - 1.0) * det
+            return scale[:, None, None] * cof.conj()
+        w, ds, xh = parts
+        return (w * ds[:, None, :]) @ xh
+
+    def terms(self, a: np.ndarray, mu: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+        """Member values of an (n, d, d) stack and their gradients."""
+        vals, parts = self.values(a, mu)
+        return vals, self.gradient(parts)
 
 
 # An e_d3 descent first runs on the term smoothed by this mu, since
@@ -347,12 +373,22 @@ def _tangent(v: np.ndarray, g: np.ndarray) -> np.ndarray:
     return g - v @ (0.5 * (h + h.conj().swapaxes(-1, -2)))
 
 
-def _value_grad(obj: _RoofObjective, comps: np.ndarray, v: np.ndarray,
-                mu: float) -> tuple[np.ndarray, np.ndarray]:
-    """Objective at each isometry of the (k, n, r) stack v and its Riemannian gradient."""
+def _values(obj: _RoofObjective, comps: np.ndarray, v: np.ndarray,
+            mu: float) -> tuple[np.ndarray, tuple]:
+    """Objective at each isometry of the (k, n, r) stack v, and the members'
+    intermediates from `_RoofObjective.values`, each of shape (k, n, ...)."""
     k, n, _ = v.shape
-    vals, grads = obj.terms((v @ comps).reshape(-1, obj.d, obj.d), mu)
-    return vals.reshape(k, n).sum(axis=1), _tangent(v, grads.reshape(k, n, -1) @ comps.conj().T)
+    vals, parts = obj.values((v @ comps).reshape(-1, obj.d, obj.d), mu)
+    return vals.reshape(k, n).sum(axis=1), tuple(x.reshape(k, n, *x.shape[1:]) for x in parts)
+
+
+def _gradient(obj: _RoofObjective, comps: np.ndarray, v: np.ndarray,
+              parts: tuple) -> np.ndarray:
+    """Riemannian gradient at each isometry of the (k, n, r) stack v, from the
+    intermediates that `_values` returned there."""
+    k, n, _ = v.shape
+    grads = obj.gradient(tuple(x.reshape(k * n, *x.shape[2:]) for x in parts))
+    return _tangent(v, grads.reshape(k, n, -1) @ comps.conj().T)
 
 
 def _slope(grad: np.ndarray, direction: np.ndarray) -> np.ndarray:
@@ -375,13 +411,21 @@ def _cg_stage(obj: _RoofObjective, comps: np.ndarray, v: np.ndarray, mu: float,
     step after backtracking at a kink of a member term says little), or when
     no step lowers it.  Every restart keeps its own step length t and stall
     flag and leaves the stack when it stops, so it takes exactly the steps it
-    takes alone.  Returns the end points, converged flags and steps used."""
+    takes alone.
+
+    An Armijo trial is valued only (`_values`), since the sufficient-decrease
+    test reads nothing else; a restart keeps the intermediates of the trial
+    it accepts, and once every restart has accepted or failed, one
+    `_gradient` call builds the gradients of those that moved from them.
+    These are the same numbers, to the bit, as a gradient taken with each
+    trial.  Returns the end points, converged flags and steps used."""
     end, converged, used = v.copy(), np.zeros(len(v), dtype=bool), budget.copy()
     live = np.flatnonzero(budget > 0)
     if not live.size:
         return end, converged, used
     v, budget = v[live], budget[live]
-    f, grad = _value_grad(obj, comps, v, mu)
+    f, parts = _values(obj, comps, v, mu)
+    grad = _gradient(obj, comps, v, parts)
     direction = -grad
     slope = _slope(grad, direction)
     t = np.ones(len(live))
@@ -398,21 +442,39 @@ def _cg_stage(obj: _RoofObjective, comps: np.ndarray, v: np.ndarray, mu: float,
         if not live.size:
             return end, converged, used
         step += 1
-        # a restart whose step shrinks below _MIN_STEP keeps v and stops
-        v_new, f_new, grad_new = v.copy(), f.copy(), grad.copy()
+        # the first trial of every restart; each trial is valued only, and
+        # parts keeps the intermediates of the trial each restart accepts
+        v_new = _polar(v + t[:, None, None] * direction)
+        f_new, parts = _values(obj, comps, v_new, mu)
+        todo = np.flatnonzero(~(f_new <= f + _ARMIJO * t * slope))
         failed = np.zeros(len(live), dtype=bool)
-        todo = np.arange(len(live))
+        if todo.size:
+            v_new[todo], f_new[todo] = v[todo], f[todo]
         while todo.size:
-            trial = _polar(v[todo] + t[todo, None, None] * direction[todo])
-            f_try, g_try = _value_grad(obj, comps, trial, mu)
-            ok = f_try <= f[todo] + _ARMIJO * t[todo] * slope[todo]
-            hit = todo[ok]
-            v_new[hit], f_new[hit], grad_new[hit] = trial[ok], f_try[ok], g_try[ok]
-            todo = todo[~ok]
+            # a restart whose step shrinks below _MIN_STEP keeps v and stops
             t[todo] *= 0.5
             short = t[todo] < _MIN_STEP
             failed[todo[short]] = True
             todo = todo[~short]
+            if not todo.size:
+                break
+            trial = _polar(v[todo] + t[todo, None, None] * direction[todo])
+            f_try, parts_try = _values(obj, comps, trial, mu)
+            ok = f_try <= f[todo] + _ARMIJO * t[todo] * slope[todo]
+            hit = todo[ok]
+            v_new[hit], f_new[hit] = trial[ok], f_try[ok]
+            for x, x_try in zip(parts, parts_try):
+                x[hit] = x_try[ok]
+            todo = todo[~ok]
+        # one gradient per step, at the points the restarts moved to
+        moved = ~failed
+        if moved.all():
+            grad_new = _gradient(obj, comps, v_new, parts)
+        else:
+            grad_new = grad.copy()
+            if moved.any():
+                grad_new[moved] = _gradient(obj, comps, v_new[moved],
+                                            tuple(x[moved] for x in parts))
         # grad_new is tangent at v_new, so projecting the old gradient there
         # would not change its product with grad_new
         beta = _re_dots(grad_new, grad_new - grad) / _re_dots(grad, grad)

@@ -87,8 +87,9 @@ class SchmidtSpectrum:
             raise InvariantError("negative Schmidt weight")
         if np.any(np.diff(lam) > 0):
             raise InvariantError("Schmidt weights must be sorted descending")
-        if abs(float(lam.sum()) - 1.0) > NORMALIZATION_TOL:
-            raise InvariantError(f"Schmidt weights sum to {lam.sum()!r}, not 1")
+        total = float(lam.sum())
+        if abs(total - 1.0) > NORMALIZATION_TOL:
+            raise InvariantError(f"Schmidt weights sum to {total!r}, not 1")
         object.__setattr__(self, "lambdas", _freeze(lam))
 
     @property
@@ -149,8 +150,9 @@ class PureDecomposition:
             raise InvariantError("weights and states length mismatch")
         if np.any(w <= 0):
             raise InvariantError("decomposition weights must be positive")
-        if abs(float(w.sum()) - 1.0) > TRACE_TOL:
-            raise InvariantError(f"decomposition weights sum to {w.sum()!r}")
+        total = float(w.sum())
+        if abs(total - 1.0) > TRACE_TOL:
+            raise InvariantError(f"decomposition weights sum to {total!r}")
         if len({st.d for st in self.states}) != 1:
             raise InvariantError("decomposition members differ in dimension d")
         object.__setattr__(self, "weights", _freeze(w))

@@ -213,6 +213,78 @@ def test_roof_gradient_matches_finite_differences(d, kind, mu):
     assert abs(numeric - analytic) <= 1e-6 * abs(analytic)
 
 
+def _members_with_products(d, rng):
+    # six random members, one exact product member and one zero member
+    a = rng.standard_normal((8, d, d)) + 1j * rng.standard_normal((8, d, d))
+    u = np.zeros(d, dtype=complex)
+    u[:2] = 1.0, 2.0j
+    v = np.zeros(d, dtype=complex)
+    v[0], v[-1] = 3.0, -1.0
+    a[2], a[5] = np.outer(u, v), 0.0
+    return a
+
+
+@pytest.mark.parametrize("mu", [0.0, mixed._E3_MU])
+@pytest.mark.parametrize("d,kind", [(2, "neg"), (2, "e2"), (3, "neg"), (3, "e2"), (3, "e3"),
+                                    (4, "neg"), (4, "e2"), (4, "e3")])
+def test_roof_values_are_the_values_of_terms(d, kind, mu):
+    # the descent values its trials with `values` and takes the gradient of
+    # the accepted ones from the parts kept, member by member
+    obj = mixed._RoofObjective(d, kind)
+    a = _members_with_products(d, np.random.default_rng([86, d]))
+    vals, parts = obj.values(a, mu)
+    want_vals, want_grads = obj.terms(a, mu)
+    assert vals.tobytes() == want_vals.tobytes()
+    if d == 3 and kind != "neg":
+        # the cofactors of a product member vanish exactly, as the zero member's do
+        assert vals[2] == vals[5]
+        assert vals[5] == 0.0 or (kind == "e3" and mu > 0.0)
+    assert all(len(x) == len(a) for x in parts)
+    keep = [0, 2, 5, 7]
+    sub = obj.gradient(tuple(x[keep] for x in parts))
+    assert sub.tobytes() == want_grads[keep].tobytes()
+
+
+@pytest.mark.parametrize("d,kind", [(3, "neg"), (3, "e2"), (3, "e3"), (4, "e2")])
+def test_descent_takes_one_gradient_per_step(monkeypatch, d, kind):
+    calls = {"values": 0, "gradient": 0}
+    values, gradient = mixed._RoofObjective.values, mixed._RoofObjective.gradient
+
+    def counted_values(self, a, mu=0.0):
+        calls["values"] += 1
+        return values(self, a, mu)
+
+    def counted_gradient(self, parts):
+        calls["gradient"] += 1
+        return gradient(self, parts)
+
+    monkeypatch.setattr(mixed._RoofObjective, "values", counted_values)
+    monkeypatch.setattr(mixed._RoofObjective, "gradient", counted_gradient)
+    spectral = spectral_decomposition(random_density_matrix(d, np.random.default_rng([87, d]),
+                                                            rank=3))
+    cfg = OptimizerConfig(max_iters=60)
+    starts = mixed._roof_starts(spectral, cfg)
+    budget = np.full(len(starts), cfg.max_iters)
+    obj = mixed._RoofObjective(d, kind)
+    used = mixed._cg_stage(obj, spectral.members(), starts, 0.0, budget)[2]
+    # one gradient at the starts, then at most one per step of the stack
+    assert 1 <= calls["gradient"] <= 1 + used.max()
+    # the Armijo trials rejected on the way were valued and nothing more
+    assert calls["values"] > calls["gradient"]
+
+
+@pytest.mark.parametrize("d,kind", [(2, "neg"), (3, "neg"), (3, "e2"), (3, "e3"),
+                                    (4, "neg"), (4, "e2"), (4, "e3")])
+def test_certificate_takes_no_gradient(monkeypatch, d, kind):
+    def no_gradient(self, parts):
+        raise AssertionError("the certificate took a gradient")
+
+    monkeypatch.setattr(mixed._RoofObjective, "gradient", no_gradient)
+    a = _members_with_products(d, np.random.default_rng([88, d]))
+    vals = mixed._RoofObjective(d, kind).of_members(a.reshape(2, 4, d * d))
+    assert vals.shape == (2,)
+
+
 def test_roof_terms_agree_with_certificate():
     rng = np.random.default_rng(85)
     for d, kinds in ((2, ("neg", "e2")), (3, ("neg", "e2", "e3"))):
