@@ -23,14 +23,20 @@ from teleport_ent import mixed
 SHORT = OptimizerConfig(restarts=3, max_iters=7)
 
 
+# (d, seed, spectral rank); d3_s<s> is seed 5000 + s at rank 3 + s % 7
+STATES = {
+    "d3_s0": (3, 5000, 3),
+    "d3_s1": (3, 5001, 4),
+    "d3_s6": (3, 5006, 9),
+    # the golden seed-13 state: its e_d3 runs both stages to 500 steps
+    "d3_rank3_seed13": (3, 13, 3),
+    "d4_rank3": (4, 5100, 3),
+}
+
+
 def _state(name):
-    if name == "d3_rank3_seed13":
-        # the golden seed-13 state: its e_d3 runs both stages to 500 steps
-        return random_density_matrix(3, np.random.default_rng(13), rank=3)
-    if name == "d4_rank3":
-        return random_density_matrix(4, np.random.default_rng(5100), rank=3)
-    s = int(name.rsplit("_s", 1)[1])
-    return random_density_matrix(3, np.random.default_rng(5000 + s), rank=3 + s % 7)
+    d, seed, rank = STATES[name]
+    return random_density_matrix(d, np.random.default_rng(seed), rank=rank)
 
 
 def _digest(rows):
