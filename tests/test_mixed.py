@@ -402,7 +402,7 @@ def test_two_qubit_roof_is_wootters_ensemble(kind, search, rank):
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
 def test_two_qubit_roofs_never_reach_the_descent(monkeypatch, rank):
     # r = 1 or Wootters' ensemble answers every d = 2 roof, which is why
-    # _RoofObjective.terms keeps no d = 2 branch of its own
+    # _RoofObjective.values keeps no d = 2 branch of its own
     def refuse(*args):
         raise AssertionError("a d = 2 roof reached the descent")
 
