@@ -4,7 +4,9 @@ Two search engines live here:
 
 * a polar fixed-point ascent over unitaries U(d) estimating the maximal singlet
   fraction f(rho) = max_U <psi+| (U x I)^dagger rho (U x I) |psi+>, whose value
-  is attained at the returned unitary and so is a certified lower bound, and
+  is attained at the returned unitary and so is a certified lower bound; each
+  step also tries the polar factor of the extrapolated 2 G_k - G_(k-1) and
+  keeps whichever unitary has the larger fraction, and
 * a Riemannian conjugate-gradient descent over ensemble decompositions of
   rho (n x r isometries mixing its r spectral components, retracted by the
   polar factor) estimating convex-roof extensions of the pure-state
@@ -158,8 +160,12 @@ def _ascend(rho_mat: np.ndarray, d: int, u: np.ndarray,
     f(U) = vec(U)^dagger rho vec(U) / d = Re tr(U^dagger G) / d is convex, so
     f(V) >= (2 Re tr(V^dagger G) - d f(U)) / d.  The polar factor maximizes this
     bound over U(d), so f never decreases; the bound's possible gain,
-    2 (sum of G's singular values / d - f), stops a restart.  All restarts
-    advance as one stack, and a restart leaves it when it stops, so each takes
+    2 (sum of G's singular values / d - f), stops a restart, as does a step
+    that does not raise f.  The plain step converges only linearly, so from
+    its second iteration on a restart that goes on also takes the polar factor
+    of the extrapolated 2 G_k - G_(k-1) and moves to whichever of the two
+    unitaries has the larger fraction.  All restarts advance as one stack, each
+    with its own G_(k-1), and a restart leaves it when it stops, so each takes
     exactly the iterations it takes alone.
     """
     f = _fractions(rho_mat, u, d)
@@ -167,6 +173,7 @@ def _ascend(rho_mat: np.ndarray, d: int, u: np.ndarray,
     converged = np.zeros(len(u), dtype=bool)
     iters = np.full(len(u), cfg.max_iters)
     live = np.arange(len(u))
+    g_prev = None
     for it in range(1, cfg.max_iters + 1):
         g = (rho_mat @ u.reshape(len(u), -1, 1)).reshape(u.shape)
         nxt = _polar(g)
@@ -175,8 +182,15 @@ def _ascend(rho_mat: np.ndarray, d: int, u: np.ndarray,
         if stop.any():
             idx = live[stop]
             end_f[idx], end_u[idx], converged[idx], iters[idx] = f[stop], u[stop], True, it
-            live, nxt, f_nxt = live[~stop], nxt[~stop], f_nxt[~stop]
-        u, f = nxt, f_nxt
+            live, g, nxt, f_nxt = live[~stop], g[~stop], nxt[~stop], f_nxt[~stop]
+            if g_prev is not None:
+                g_prev = g_prev[~stop]
+        if g_prev is not None and live.size:
+            cand = _polar(2.0 * g - g_prev)
+            f_cand = _fractions(rho_mat, cand, d)
+            take = f_cand > f_nxt
+            nxt[take], f_nxt[take] = cand[take], f_cand[take]
+        u, f, g_prev = nxt, f_nxt, g
         if not live.size:
             break
     end_f[live], end_u[live] = f, u

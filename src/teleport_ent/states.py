@@ -22,6 +22,9 @@ SPECTRAL_WEIGHT_FLOOR = 1e-12
 RECONSTRUCTION_TOL = 1e-8
 MANIFOLD_TOL = 1e-8
 HERMITICITY_TOL = 1e-10
+# every entry of a density matrix has modulus at most 1, so a component beyond
+# this bound fails the checks below; rejected first, it keeps their sums finite
+ENTRY_BOUND = 2.0
 # An ensemble mixing r spectral terms has at most this many times r members.
 ENSEMBLE_FACTOR = 2
 
@@ -114,6 +117,9 @@ class DensityMatrix:
     def __post_init__(self):
         n = self.d * self.d
         mat = ensure_matrix(self.mat, n, n)
+        if np.abs([mat.real, mat.imag]).max(initial=0.0) > ENTRY_BOUND:
+            raise InvariantError(
+                f"density matrix has a real or imaginary part beyond {ENTRY_BOUND} in magnitude")
         if not is_hermitian(mat):
             raise InvariantError(f"density matrix is not hermitian within {HERMITICITY_TOL}")
         tr = float(mat.trace().real)

@@ -51,6 +51,30 @@ def test_ascent_contract_without_closed_form(d, seed):
     assert res.converged
 
 
+def polar_fixed_point(rho: DensityMatrix, u: np.ndarray) -> float:
+    """Fraction where plain polar steps from u stop raising it."""
+    f = fraction_at(rho, u)
+    for _ in range(10000):
+        w, _, xh = np.linalg.svd((rho.mat @ u.reshape(-1)).reshape(rho.d, rho.d))
+        f_next = fraction_at(rho, w @ xh)
+        if f_next <= f:
+            return f
+        u, f = w @ xh, f_next
+    raise AssertionError("polar steps still rising after 10000 steps")
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("seed", range(12))
+def test_ascent_stops_near_the_polar_fixed_point(d, seed):
+    # the stop test bounds one polar step's gain by CONVERGENCE_TOL = 1e-9, so
+    # a linearly converging ascent could stop several times that below the
+    # fixed point (8.4e-9 at d = 3, seed 6, without the extrapolated step)
+    rho = random_density_matrix(d, np.random.default_rng([d, seed]))
+    res = singlet_fraction_mixed(rho)
+    assert res.converged
+    assert 0.0 <= polar_fixed_point(rho, res.argument_unitary) - res.value <= 2.5e-9
+
+
 @pytest.mark.parametrize("d", [3, 4])
 def test_iteration_budget_reports_not_converged(d):
     rho = random_density_matrix(d, np.random.default_rng([d, 99]))

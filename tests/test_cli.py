@@ -447,20 +447,37 @@ def _dm_text(mat) -> str:
 _HALF = np.eye(4, dtype=complex) / 4
 _NON_HERMITIAN = _HALF.copy()
 _NON_HERMITIAN[0, 1] = 0.1
-
+# finite entries whose trace, or difference from the adjoint, overflows
+_HUGE_OFF_DIAGONAL = _HALF.copy()
+_HUGE_OFF_DIAGONAL[0, 1], _HUGE_OFF_DIAGONAL[1, 0] = 1e308, -1e308
 
 # each invalid file is stopped by the state types' own checks
-@pytest.mark.parametrize("text", [
+_INVALID_STATES = pytest.mark.parametrize("text", [
     _dm_text(_HALF).replace("0.25", "nan", 1),
     _dm_text(_HALF).replace("0.25", "inf", 1),
     _dm_text(_NON_HERMITIAN),
     _dm_text(np.diag([0.6, 0.25, 0.25, -0.1])),
     "pure 2\n1 0 0 0 0 0 1 0\n",
-], ids=["nan", "inf", "non_hermitian", "negative_eigenvalue", "unnormalized_pure"])
+    _dm_text(np.diag([1e308, 1e308, 0.0, 0.0])),
+    _dm_text(_HUGE_OFF_DIAGONAL),
+], ids=["nan", "inf", "non_hermitian", "negative_eigenvalue", "unnormalized_pure",
+        "huge_diagonal", "huge_off_diagonal"])
+
+
+@_INVALID_STATES
 def test_analyze_invalid_state_exit_2(tmp_path, capsys, text):
     path = tmp_path / "bad.txt"
     path.write_text(text, encoding="utf-8")
     code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2
+    assert "state fails validation" in err and out == ""
+
+
+@_INVALID_STATES
+def test_dynamics_invalid_state_exit_2(tmp_path, capsys, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "dynamics", "--t-max", "0.01", "--state", str(path))
     assert code == 2
     assert "state fails validation" in err and out == ""
 

@@ -155,6 +155,10 @@ def test_hjw_drops_zero_weight_members():
 
 _RHO2 = random_density_matrix(2, np.random.default_rng(31), rank=2)
 _RNG = np.random.default_rng(32)
+# finite entries whose trace, or difference from the adjoint, overflows
+_HUGE_OFF_DIAGONAL = np.diag([1.0, 0.0, 0.0, 0.0])
+_HUGE_OFF_DIAGONAL[0, 1], _HUGE_OFF_DIAGONAL[1, 0] = 1e308, -1e308
+_HUGE_ENTRY = re.escape("density matrix has a real or imaginary part beyond 2.0 in magnitude")
 
 
 # inputs outside each constructor's model; a weight sum is printed as a
@@ -168,6 +172,8 @@ _RNG = np.random.default_rng(32)
     (lambda: SchmidtSpectrum(lambdas=[0.4, 0.6]), "Schmidt weights must be sorted descending"),
     (lambda: SchmidtSpectrum(lambdas=[0.5, 0.4]), re.escape("Schmidt weights sum to 0.9, not 1")),
     (lambda: DensityMatrix.from_matrix(np.eye(5) / 5), "matrix side 5 is not a perfect square"),
+    (lambda: DensityMatrix.from_matrix(np.diag([1e308, 1e308, 0.0, 0.0])), _HUGE_ENTRY),
+    (lambda: DensityMatrix.from_matrix(_HUGE_OFF_DIAGONAL), _HUGE_ENTRY),
     (lambda: PureDecomposition(weights=[1.0], states=(bell_like(2, 2),) * 2),
      "weights and states length mismatch"),
     (lambda: PureDecomposition(weights=[1.5, -0.5], states=(bell_like(2, 2),) * 2),
@@ -183,7 +189,8 @@ _RNG = np.random.default_rng(32)
     (lambda: random_density_matrix(2, _RNG, rank=0), re.escape("rank must lie in [1, 4]")),
     (lambda: random_density_matrix(2, _RNG, rank=5), re.escape("rank must lie in [1, 4]")),
 ], ids=["matrix_ndim", "matrix_rows", "matrix_cols", "spectrum_empty", "spectrum_negative",
-        "spectrum_unsorted", "spectrum_sum", "dm_side_not_square", "ensemble_lengths",
+        "spectrum_unsorted", "spectrum_sum", "dm_side_not_square", "dm_huge_diagonal",
+        "dm_huge_off_diagonal", "ensemble_lengths",
         "ensemble_weight_negative", "ensemble_sum", "hjw_columns", "hjw_rows_above",
         "hjw_rows_below", "isometry_wide", "spectrum_rank_0", "spectrum_rank_above_d",
         "dm_rank_0", "dm_rank_above_d2"])
