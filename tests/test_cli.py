@@ -5,6 +5,7 @@ import os
 import runpy
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -464,11 +465,21 @@ _INVALID_STATES = pytest.mark.parametrize("text", [
         "huge_diagonal", "huge_off_diagonal"])
 
 
+def run_warning_free(capsys, *argv):
+    """run's result; fails if the call issued any warning, which the test
+    settings would otherwise turn into the exception the CLI reports."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run(capsys, *argv)
+    assert [str(w.message) for w in caught] == []
+    return result
+
+
 @_INVALID_STATES
 def test_analyze_invalid_state_exit_2(tmp_path, capsys, text):
     path = tmp_path / "bad.txt"
     path.write_text(text, encoding="utf-8")
-    code, out, err = run(capsys, "analyze", str(path))
+    code, out, err = run_warning_free(capsys, "analyze", str(path))
     assert code == 2
     assert "state fails validation" in err and out == ""
 
@@ -477,7 +488,7 @@ def test_analyze_invalid_state_exit_2(tmp_path, capsys, text):
 def test_dynamics_invalid_state_exit_2(tmp_path, capsys, text):
     path = tmp_path / "bad.txt"
     path.write_text(text, encoding="utf-8")
-    code, out, err = run(capsys, "dynamics", "--t-max", "0.01", "--state", str(path))
+    code, out, err = run_warning_free(capsys, "dynamics", "--t-max", "0.01", "--state", str(path))
     assert code == 2
     assert "state fails validation" in err and out == ""
 
