@@ -8,15 +8,17 @@ Subcommands:
 * qutrit-example: the built-in two-qutrit family at one parameter value
 * random: seeded random states written in the state-file format
 
-Exit codes: 0 success, 2 unreadable or malformed input, 3 a numeric
-invariant failed.  Output on stdout is deterministic for a fixed seed;
-wall-clock timing goes only to the manifest sidecar (or stderr).
+Exit codes: 0 success (also when the reader of stdout closes it early),
+2 unreadable or malformed input or an --out path that cannot be opened,
+3 a numeric invariant failed.  Output on stdout is deterministic for a
+fixed seed; wall-clock timing goes only to the manifest sidecar (or stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 
@@ -164,17 +166,17 @@ def _cmd_dynamics(args) -> int:
                 f"sweep spec {args.sweep!r} is not of the form AXIS=LO:HI:N")
         if axis not in dyn.SWEEP_AXES:
             raise StateParseError(f"unknown sweep axis {axis!r}; use one of {dyn.SWEEP_AXES}")
-        rows = dyn.sweep(cfg, axis, _parse_grid(grid_text)).rows
+        columns = np.transpose(dyn.sweep(cfg, axis, _parse_grid(grid_text)).rows)
     else:
         traj = dyn.evolve(cfg)
-        rows = np.column_stack((traj.t, traj.concurrence, traj.fraction, traj.fidelity,
-                                traj.trace_err, traj.min_eig))
-    text = stateio.format_csv(rows)
+        columns = (traj.t, traj.concurrence, traj.fraction, traj.fidelity,
+                   traj.trace_err, traj.min_eig)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with stateio.open_out(args.out) as fh:
+            stateio.write_csv(fh, columns)
     else:
-        sys.stdout.write(text)
+        stateio.write_csv(sys.stdout, columns)
+        sys.stdout.flush()  # so a reader that closed early raises here, inside main
     manifest = stateio.RunManifest(
         command="dynamics", seed=None, version=__version__,
         inputs=inputs, wall_time_s=round(time.monotonic() - t0, 6))
@@ -313,6 +315,11 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         sys.stderr.write(f"invariant violated: {exc}\n")
         return 3
+    except BrokenPipeError:
+        # the reader of stdout closed it early (`| head`): send what is still
+        # buffered to devnull, so the flush at exit raises nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
 def entry() -> None:

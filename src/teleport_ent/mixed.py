@@ -365,11 +365,6 @@ class _RoofObjective:
         w, ds, xh = parts
         return (w * ds[:, None, :]) @ xh
 
-    def terms(self, a: np.ndarray, mu: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-        """Member values of an (n, d, d) stack and their gradients."""
-        vals, parts = self.values(a, mu)
-        return vals, self.gradient(parts)
-
 
 # An e_d3 descent first runs on the term smoothed by this mu, since
 # |det|^(2/3) has an infinite gradient at det = 0, then on the exact term.

@@ -24,6 +24,9 @@ from .errors import StateParseError
 from .states import DensityMatrix, PureBipartiteState
 
 CSV_HEADER = "axis,C,f,F,trace_err,min_eig"
+# rows per formatting call of write_csv: a block's floats, tuple and text
+# take a few hundred kB, however long the table
+CSV_BLOCK_ROWS = 1024
 
 
 def _tokens(text: str) -> list[str]:
@@ -92,18 +95,36 @@ def format_state(obj: PureBipartiteState | DensityMatrix, comment: str = "") -> 
     return "\n".join(lines) + "\n"
 
 
+def open_out(path: str):
+    """path opened for writing text; a path that cannot be opened is an input error."""
+    try:
+        return open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise StateParseError(f"cannot write {path}: {exc}") from None
+
+
 def write_state_file(path: str, obj: PureBipartiteState | DensityMatrix,
                      comment: str = "") -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open_out(path) as fh:
         fh.write(format_state(obj, comment))
 
 
 def format_csv(rows) -> str:
     """Rows of six columns (an (n, 6) array or a sequence of rows) to CSV
-    text in one formatting call; %.12g keeps tiny trace errors distinguishable."""
+    lines, without the header, in one formatting call; %.12g keeps tiny
+    trace errors distinguishable."""
     table = np.asarray(rows, dtype=float).reshape(-1, 6)
-    body = ("%.12g," * 5 + "%.12g\n") * len(table) % tuple(table.ravel().tolist())
-    return CSV_HEADER + "\n" + body
+    return ("%.12g," * 5 + "%.12g\n") * len(table) % tuple(table.ravel().tolist())
+
+
+def write_csv(fh, columns) -> None:
+    """The header, then the rows of six equal-length columns, to the text stream fh.
+
+    The rows are stacked and formatted CSV_BLOCK_ROWS at a time, so no array
+    or text but the columns themselves grows with the table."""
+    fh.write(CSV_HEADER + "\n")
+    for lo in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+        fh.write(format_csv(np.column_stack([c[lo:lo + CSV_BLOCK_ROWS] for c in columns])))
 
 
 def format_value(x) -> str:
@@ -146,8 +167,7 @@ class RunManifest:
     def emit(self, out_path: str | None) -> None:
         """Write next to out_path, or to stderr when there is no output file."""
         if out_path:
-            with open(out_path + ".manifest.json", "w", encoding="utf-8",
-                      newline="\n") as fh:
+            with open_out(out_path + ".manifest.json") as fh:
                 fh.write(self.to_json())
         else:
             sys.stderr.write(self.to_json())

@@ -1,10 +1,12 @@
 """CLI subcommands, state-file round trips, exit codes, determinism."""
 
+import io
 import math
 import os
 import runpy
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -85,6 +87,19 @@ def test_analyze_missing_file_exit_2(capsys):
     code, _, err = run(capsys, "analyze", "/no/such/file.txt")
     assert code == 2
     assert "input error" in err
+
+
+# the CSV or state file in a missing directory, or its manifest blocked by a
+# directory of that name after the file itself was written
+@pytest.mark.parametrize("argv", [("dynamics", "--t-max", "0.01"), ("random", "dm", "--d", "2")])
+@pytest.mark.parametrize("name,blocker", [("missing/out", None),
+                                          ("out", "out.manifest.json")])
+def test_unwritable_out_path_exit_2(tmp_path, capsys, argv, name, blocker):
+    if blocker:
+        (tmp_path / blocker).mkdir()
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / name))
+    assert code == 2 and out == ""
+    assert err.startswith("input error: cannot write ") and err.count("\n") == 1
 
 
 def test_bounds_output(capsys):
@@ -169,8 +184,42 @@ def test_dynamics_csv_bytes_match_per_float_formatting(tmp_path, capsys):
 
     special = [(0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324),
                (1e16, 123456789012.5, -1e-300, 0.1, 2.0 / 3.0, 1.0)]
-    assert stateio.format_csv(special) == _csv_per_float(special)
-    assert stateio.format_csv(()) == stateio.CSV_HEADER + "\n"
+    assert stateio.CSV_HEADER + "\n" + stateio.format_csv(special) == _csv_per_float(special)
+    assert stateio.format_csv(()) == ""
+
+    # tables on either side of the writer's block seams, through --out and stdout
+    b = stateio.CSV_BLOCK_ROWS
+    for n in (1, b - 1, b, b + 1, 2 * b + 1):
+        expect = _csv_per_float(sweep(DynamicsConfig(t_max=1.0), "time",
+                                      np.linspace(0.0, 1.0, n)).rows)
+        path = tmp_path / f"seam{n}.csv"
+        argv = ("dynamics", "--t-max", "1", "--sweep", f"time=0:1:{n}")
+        assert run(capsys, *argv, "--out", str(path))[:2] == (0, "")
+        assert path.read_bytes() == expect.encode()
+        assert run(capsys, *argv)[:2] == (0, expect)
+    # no CLI run writes an empty table (a grid has a point): the header alone
+    sink = io.StringIO()
+    stateio.write_csv(sink, np.zeros((6, 0)))
+    assert sink.getvalue() == _csv_per_float(())
+
+
+def test_csv_writer_memory_stays_flat():
+    # For this 200000-row table the whole-text formatter peaked at 72.8 MB
+    # under tracemalloc, 16.6 MB of it the text itself and the rest its
+    # floats, tuple and format string.  Block by block, the peak is the text
+    # that StringIO keeps plus 0.3 MB; the bound allows 4 MB above the text.
+    rng = np.random.default_rng(1900)
+    columns = (np.arange(200_000) * 1e-3, *rng.standard_normal((5, 200_000)))
+    sink = io.StringIO()
+    tracemalloc.start()
+    try:
+        stateio.write_csv(sink, columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    lines, size = sink.getvalue().count("\n"), sink.tell()
+    assert lines == 200_001
+    assert peak < size + 4_000_000
 
 
 def test_dynamics_non_x_state_file(tmp_path, capsys):
@@ -334,13 +383,18 @@ def test_dynamics_extreme_input_exits_cleanly(capsys, argv):
     assert code in (0, 2, 3)
 
 
-def run_module(cwd, *argv):
-    """`python -m teleport_ent argv` in a fresh interpreter that imports this checkout."""
+def _module_env():
+    """The environment of a fresh interpreter that imports this checkout."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "teleport_ent", *argv],
-                          capture_output=True, text=True, env=env, cwd=str(cwd), timeout=120)
+    return env
+
+
+def run_module(cwd, *argv):
+    """`python -m teleport_ent argv` in a fresh interpreter that imports this checkout."""
+    return subprocess.run([sys.executable, "-m", "teleport_ent", *argv], capture_output=True,
+                          text=True, env=_module_env(), cwd=str(cwd), timeout=120)
 
 
 def test_python_dash_m_entry_point(tmp_path):
@@ -349,6 +403,20 @@ def test_python_dash_m_entry_point(tmp_path):
     lines = done.stdout.splitlines()
     assert lines[0] == "axis,C,f,F,trace_err,min_eig"
     assert len(lines) == 12
+
+
+def test_reader_closing_stdout_early_exits_0(tmp_path):
+    # 60000 rows are megabytes, far past a pipe's buffer, so the writer is
+    # still writing blocks when the reader closes after the header (`| head -1`)
+    with subprocess.Popen([sys.executable, "-m", "teleport_ent", "dynamics", "--model", "qnd",
+                           "--t-max", "60", "--max-steps", "60000"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_module_env(),
+                          cwd=str(tmp_path)) as proc:
+        assert proc.stdout.readline() == b"axis,C,f,F,trace_err,min_eig\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=120)
+    assert code == 0 and "Traceback" not in err, err
 
 
 def test_python_dash_m_version(tmp_path):

@@ -46,7 +46,7 @@ def test_jet_matches_the_member_values_and_their_differences(kind, seed):
         warnings.simplefilter("error")
         jet, _ = SPHERES[kind](phi)
         g, grad, hess = jet(MEMBERS)
-        ref = mixed._RoofObjective(3, kind).terms(
+        ref = mixed._RoofObjective(3, kind).values(
             (range_states(MEMBERS) @ phi.reshape(2, 9)).reshape(-1, 3, 3))[0]
         assert np.abs(g / ref - 1.0).max() <= 1e-13
         # two tangent directions per member and their bisector, for the mixed term
